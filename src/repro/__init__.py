@@ -4,7 +4,7 @@ Constrained Graph Pattern Discovery" (Zhu, Zhang, Qu; SIGMOD 2013).
 The package provides:
 
 * :mod:`repro.graph` — the labeled-graph substrate (data structures,
-  isomorphism, canonical codes, generators, I/O);
+  isomorphism, canonical forms, generators, I/O);
 * :mod:`repro.core` — the paper's contribution: the SkinnyMine miner for
   l-long δ-skinny patterns and the generic direct-mining framework;
 * :mod:`repro.api` — the unified constraint-plugin query surface: a

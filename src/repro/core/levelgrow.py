@@ -44,13 +44,7 @@ from repro.core.constraints import (
 )
 from repro.core.database import MiningContext
 from repro.core.patterns import GrowthState
-from repro.graph.canonical import (
-    UnicyclicEncodings,
-    bicyclic_canonical_key,
-    tree_canonical_key,
-    unicyclic_canonical_key,
-    wl_signature,
-)
+from repro.graph.canonical import UnicyclicEncodings, ladder_key, wl_signature
 from repro.graph.isomorphism import are_isomorphic
 from repro.graph.labeled_graph import LabeledGraph, VertexId
 from repro.graph.paths import _farthest as _descriptor_farthest
@@ -60,24 +54,22 @@ from repro.graph.paths import sum_sweep_diameter
 class PatternRegistry:
     """Exact duplicate detection tuned for the growth loop.
 
-    Grown skinny patterns are overwhelmingly *trees* (the canonical diameter
-    plus pendant twigs), and free labeled trees have an exact near-linear
-    canonical form — so the registry keys trees by
-    :func:`repro.graph.canonical.tree_canonical_key` directly, one set
-    membership test per candidate, memoised across all growth levels; in the
-    growth loop that key arrives precomputed, derived incrementally from the
-    parent state's carried encodings.  Single-cycle patterns — almost every
-    edge-closing extension — key the same way through
-    :func:`repro.graph.canonical.unicyclic_canonical_key`, and two-cycle
-    patterns through :func:`repro.graph.canonical.bicyclic_canonical_key`.
-    Only patterns with three or more cycles fall back to bucketing by a
-    Weisfeiler–Lehman signature (vertex *and* edge-pair colour histograms
-    per round) with an exact labeled-isomorphism test on collision.  (The minimum-DFS-code
-    canonical form is *not* used here: its branch-and-bound is exponential
-    on exactly the twig-heavy patterns the growth loop mass-produces.)
-    Isomorphic patterns are always detected — the shape-specific keys and
-    the VF2 confirmation are exact, the signature is isomorphism-invariant —
-    so the registry never reports a false duplicate nor misses a true one.
+    Patterns of cycle rank <= 2 — trees (the canonical diameter plus pendant
+    twigs, the overwhelmingly common case), single-cycle and two-cycle
+    patterns — are keyed by the exact cycle-rank ladder,
+    :func:`repro.graph.canonical.ladder_key`: one set membership test per
+    candidate, memoised across all growth levels.  In the growth loop the
+    tree and unicyclic keys arrive precomputed, derived incrementally from
+    the parent state's carried encodings.  Only patterns with three or more
+    cycles fall back to bucketing by a Weisfeiler–Lehman signature (vertex
+    *and* edge-pair colour histograms per round) with an exact
+    labeled-isomorphism test on collision.  (The minimum-DFS-code fallback
+    of :func:`repro.graph.canonical.canonical_key` is *not* used here: its
+    branch-and-bound is exponential on exactly the dense patterns that
+    reach this rung.)  Isomorphic patterns are always detected — the ladder
+    keys and the VF2 confirmation are exact, the signature is
+    isomorphism-invariant — so the registry never reports a false duplicate
+    nor misses a true one.
     """
 
     def __init__(self) -> None:
@@ -100,23 +92,7 @@ class PatternRegistry:
         computed here exactly as before.
         """
         if exact_key is None:
-            edge_count = pattern.num_edges()
-            vertex_count = pattern.num_vertices()
-            if edge_count == vertex_count - 1:
-                try:
-                    exact_key = tree_canonical_key(pattern)
-                except ValueError:
-                    exact_key = None  # right edge count but disconnected: not a tree
-            elif edge_count == vertex_count:
-                try:
-                    exact_key = unicyclic_canonical_key(pattern)
-                except ValueError:
-                    exact_key = None  # cycle + separate tree components
-            elif edge_count == vertex_count + 1:
-                try:
-                    exact_key = bicyclic_canonical_key(pattern)
-                except ValueError:
-                    exact_key = None  # two cycles in separate components
+            exact_key = ladder_key(pattern)
         if exact_key is not None:
             if exact_key in self._exact_keys:
                 return False
@@ -800,34 +776,26 @@ class LevelGrower:
     ) -> Tuple[Optional[Tuple], Optional[Tuple]]:
         """``(exact_key, signature)`` for the state's pattern, computed once.
 
-        Tree-shaped states carry :class:`~repro.graph.canonical.TreeEncodings`
-        derived incrementally along the growth chain, so their exact key is an
+        Tree-shaped and unicyclic states carry encodings
+        (:class:`~repro.graph.canonical.TreeEncodings`,
+        :class:`~repro.graph.canonical.UnicyclicEncodings`) derived
+        incrementally along the growth chain, so their exact key is an
         attribute read (counted as ``canonical_incremental_hits``); states
         without encodings — cycle-closing extensions, or externally built
-        states — fall back to the batch paths the registry always used.
-        Exactly one of the two results is non-``None``.
+        states — take the batch cycle-rank ladder, and patterns above it
+        (rank >= 3) a WL signature.  Exactly one of the two results is
+        non-``None``.
         """
         started = time.perf_counter()
-        exact_key: Optional[Tuple] = None
         signature: Optional[Tuple] = None
         encodings = state.tree_encodings or state.cycle_encodings
         if encodings is not None:
             exact_key = encodings.key
             self.statistics.canonical_incremental_hits += 1
         else:
-            pattern = state.pattern
-            edge_count = pattern.num_edges()
-            vertex_count = pattern.num_vertices()
-            # Growth states are connected by construction, so the shape
-            # check alone picks the exact canonical form.
-            if edge_count == vertex_count - 1:
-                exact_key = tree_canonical_key(pattern)
-            elif edge_count == vertex_count:
-                exact_key = unicyclic_canonical_key(pattern)
-            elif edge_count == vertex_count + 1:
-                exact_key = bicyclic_canonical_key(pattern)
+            exact_key = ladder_key(state.pattern)
             if exact_key is None:
-                signature = wl_signature(pattern)
+                signature = wl_signature(state.pattern)
         self.statistics.canonical_seconds += time.perf_counter() - started
         return exact_key, signature
 

@@ -176,9 +176,10 @@ class GrowthState:
     # registry's canonical key is then derived from the parent's encodings in
     # O(depth) per pendant extension instead of re-canonicalising the whole
     # tree (see repro.graph.canonical.TreeEncodings).  ``None`` once a
-    # cycle-closing edge lands (those patterns key by WL signature + VF2) or
-    # when an incremental derivation was not possible.  Runtime-only: never
-    # serialised, shared by reference across copies (immutable).
+    # cycle-closing edge lands (those patterns carry ``cycle_encodings`` or
+    # take the batch cycle-rank ladder) or when an incremental derivation was
+    # not possible.  Runtime-only: never serialised, shared by reference
+    # across copies (immutable).
     tree_encodings: Optional[TreeEncodings] = None
     # The unicyclic counterpart, carried once a cycle-closing edge lands
     # (|E| = |V|): the single cycle is fixed for the rest of the derivation
@@ -245,9 +246,6 @@ class GrowthState:
             )
             self._diameter_labels = cached
         return cached
-
-    def canonical_form(self) -> Tuple:
-        return canonical_key(self.pattern)
 
     def copy(self) -> "GrowthState":
         return GrowthState(

@@ -9,8 +9,10 @@ benchmarks beat.
 
 The enumeration is edge-set based: patterns are grown by adding one data edge
 at a time to a connected occurrence, occurrences are grouped by the pattern's
-canonical code, and support is the number of distinct occurrences (or
-transactions) exactly as in :class:`repro.core.database.MiningContext`.
+minimum DFS code, and support is the number of distinct occurrences (or
+transactions) exactly as in :class:`repro.core.database.MiningContext`.  The
+grouping deliberately bypasses :func:`repro.graph.canonical.canonical_key`:
+the oracle shares no code with the cycle-rank ladder the miners key by.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 from repro.core.database import MiningContext, SupportMeasure
 from repro.core.diameter import canonical_diameter, is_l_long_delta_skinny
 from repro.core.patterns import SkinnyPattern
-from repro.graph.canonical import canonical_key
+from repro.graph.canonical import CanonicalCode, minimum_dfs_code
 from repro.graph.embeddings import Embedding
 from repro.graph.labeled_graph import LabeledGraph, VertexId
 
@@ -38,10 +40,10 @@ def _occurrence_graph(data_graph: LabeledGraph, edges: FrozenSet[EdgeKey]) -> La
 
 def _pattern_of_occurrence(
     data_graph: LabeledGraph, edges: FrozenSet[EdgeKey]
-) -> Tuple[Tuple, LabeledGraph]:
+) -> Tuple[CanonicalCode, LabeledGraph]:
     subgraph = _occurrence_graph(data_graph, edges)
     compacted, _ = subgraph.compact()
-    return canonical_key(compacted), compacted
+    return minimum_dfs_code(compacted), compacted
 
 
 def enumerate_frequent_connected_subgraphs(
@@ -58,8 +60,8 @@ def enumerate_frequent_connected_subgraphs(
         raise ValueError("max_edges must be at least 1")
 
     # Seed with single-edge occurrences.
-    current: Dict[Tuple, Dict[Occurrence, None]] = {}
-    pattern_graphs: Dict[Tuple, LabeledGraph] = {}
+    current: Dict[CanonicalCode, Dict[Occurrence, None]] = {}
+    pattern_graphs: Dict[CanonicalCode, LabeledGraph] = {}
     for graph_index in context.graph_indices():
         graph = context.graph(graph_index)
         for edge in graph.edges():
@@ -69,7 +71,7 @@ def enumerate_frequent_connected_subgraphs(
             pattern_graphs.setdefault(key, pattern)
 
     results: List[Tuple[LabeledGraph, List[Occurrence], int]] = []
-    seen_patterns: Set[Tuple] = set()
+    seen_patterns: Set[CanonicalCode] = set()
 
     def mni_of(pattern: LabeledGraph) -> int:
         # Position-wise minimum image count over *all* embeddings of the
@@ -88,7 +90,7 @@ def enumerate_frequent_connected_subgraphs(
                     images[pattern_vertex].add((graph_index, data_vertex))
         return min((len(image) for image in images.values()), default=0)
 
-    def support_of(key: Tuple, occurrences: Sequence[Occurrence]) -> int:
+    def support_of(key: CanonicalCode, occurrences: Sequence[Occurrence]) -> int:
         if context.support_measure is SupportMeasure.TRANSACTIONS:
             return len({index for index, _ in occurrences})
         if context.support_measure is SupportMeasure.MNI:
@@ -101,7 +103,7 @@ def enumerate_frequent_connected_subgraphs(
 
     size = 1
     while current and size <= max_edges:
-        next_level: Dict[Tuple, Dict[Occurrence, None]] = {}
+        next_level: Dict[CanonicalCode, Dict[Occurrence, None]] = {}
         for key, occurrence_map in current.items():
             occurrences = list(occurrence_map)
             support = support_of(key, occurrences)

@@ -1,7 +1,7 @@
 """Labeled-graph substrate used by SkinnyMine, the baselines and the datasets.
 
 This subpackage is self-contained: it provides the graph data structure,
-subgraph isomorphism, canonical codes, path/distance utilities, embedding
+subgraph isomorphism, canonical forms, path/distance utilities, embedding
 bookkeeping, random generators and a small text I/O format.  Nothing in here
 knows about skinny patterns; it is the layer the paper's algorithms (and the
 competing miners) are built on.
@@ -15,7 +15,7 @@ from repro.graph.isomorphism import (
     find_subgraph_embeddings,
     is_subgraph_isomorphic,
 )
-from repro.graph.canonical import CanonicalCode, DFSCode, minimum_dfs_code
+from repro.graph.canonical import canonical_key
 from repro.graph.paths import (
     all_diameter_paths,
     bfs_distances,
@@ -53,9 +53,7 @@ __all__ = [
     "find_automorphisms",
     "find_subgraph_embeddings",
     "is_subgraph_isomorphic",
-    "CanonicalCode",
-    "DFSCode",
-    "minimum_dfs_code",
+    "canonical_key",
     "all_diameter_paths",
     "bfs_distances",
     "diameter",

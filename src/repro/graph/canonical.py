@@ -1,16 +1,22 @@
-"""Canonical codes for labeled graphs (gSpan-style minimum DFS codes).
+"""Canonical forms for labeled graphs: one exact key, dispatched on cycle rank.
 
-SkinnyMine partitions its search space by canonical diameter, but it (and the
-gSpan/MoSS baselines, and the test-suite) still need a *graph-level* canonical
-form to answer "have I generated this pattern before?".  We use the classic
-gSpan minimum DFS code [Yan & Han, ICDM 2002]: the lexicographically smallest
-DFS code over all rooted DFS traversals of the graph.  Two labeled graphs are
-isomorphic iff their minimum DFS codes are equal.
+Every "have I generated this pattern before?" check goes through one ladder
+of exact canonical forms, picked by the cycle rank ``|E| - |V| + 1`` of a
+connected graph: :func:`tree_canonical_key` (rank 0, AHU encoding rooted at
+the centre), :func:`unicyclic_canonical_key` (rank 1, minimal
+rotation/reflection of the cycle's hanging-tree encodings) and
+:func:`bicyclic_canonical_key` (rank 2, figure-eight, theta or dumbbell
+core).  Each rung is exact — equal keys iff labeled isomorphism — and
+near-linear.  :func:`ladder_key` is that dispatch alone, ``None`` where no
+rung applies (rank >= 3, disconnected or empty graphs).
 
-A DFS code is a sequence of 5-tuples ``(i, j, l_i, l_e, l_j)`` where ``i`` and
-``j`` are DFS discovery indices, ``l_i``/``l_j`` are vertex labels and ``l_e``
-is the edge label (``None`` allowed, compared as the empty string).  Forward
-edges have ``i < j``, backward edges ``i > j``.
+:func:`canonical_key` is the one public canonical form.  Where the ladder
+returns ``None`` it falls back to gSpan's minimum DFS code [Yan & Han, ICDM
+2002] (:func:`minimum_dfs_code`), exact for every graph but exponential in
+the worst case.  LevelGrow's duplicate registry never takes that fallback:
+it buckets rank >= 3 patterns by :func:`wl_signature` and confirms
+collisions with VF2.  :class:`TreeEncodings` and :class:`UnicyclicEncodings`
+let the growth loop derive a one-leaf extension's key in O(depth).
 """
 
 from __future__ import annotations
@@ -27,31 +33,6 @@ DFSEdge = Tuple[int, int, str, str, str]
 def _label_key(label: Optional[Label]) -> str:
     """Normalise a label to a string for lexicographic comparison."""
     return "" if label is None else str(label)
-
-
-@dataclass(frozen=True)
-class DFSCode:
-    """An (ordered) DFS code: a tuple of DFS edges.
-
-    Instances compare lexicographically edge by edge using the gSpan edge
-    order, which here reduces to tuple comparison because forward/backward
-    status is encoded by the (i, j) index pair ordering rule implemented in
-    ``_edge_sort_key``.
-    """
-
-    edges: Tuple[DFSEdge, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __lt__(self, other: "DFSCode") -> bool:
-        return _code_key(self.edges) < _code_key(other.edges)
-
-    def __le__(self, other: "DFSCode") -> bool:
-        return _code_key(self.edges) <= _code_key(other.edges)
-
-    def as_tuple(self) -> Tuple[DFSEdge, ...]:
-        return self.edges
 
 
 @dataclass(frozen=True)
@@ -189,11 +170,16 @@ def _min_code_from_root(graph: LabeledGraph, root: VertexId) -> Tuple[DFSEdge, .
 def minimum_dfs_code(graph: LabeledGraph) -> CanonicalCode:
     """Return the canonical (minimum) DFS code of ``graph``.
 
-    Isolated vertices carry no edges, so they are recorded separately as a
-    sorted label tuple; the code itself covers every edge of the graph.
-    Isomorphic graphs produce equal ``CanonicalCode`` values, non-isomorphic
-    graphs produce different ones (for connected labeled graphs, this is the
-    gSpan canonical form; components are encoded independently and sorted).
+    The lexicographically smallest DFS code over all rooted DFS traversals:
+    a sequence of ``(i, j, l_i, l_e, l_j)`` edges with DFS discovery indices
+    ``i``/``j`` (forward edges ``i < j``) and vertex/edge labels (``None``
+    compared as the empty string).  Isolated vertices carry no edges, so
+    they are recorded separately as a sorted label tuple; the code itself
+    covers every edge of the graph.  Isomorphic graphs produce equal
+    ``CanonicalCode`` values, non-isomorphic graphs produce different ones
+    (for connected labeled graphs, this is the gSpan canonical form;
+    components are encoded independently and sorted).  Exponential in the
+    worst case: :func:`canonical_key`'s fallback and the oracle's key only.
     """
     isolated = tuple(
         sorted(
@@ -234,22 +220,16 @@ def minimum_dfs_code(graph: LabeledGraph) -> CanonicalCode:
     )
 
 
-def canonical_key(graph: LabeledGraph) -> Tuple:
-    """A hashable key equal for isomorphic graphs — convenience wrapper."""
-    canonical = minimum_dfs_code(graph)
-    return (canonical.code, canonical.num_vertices, canonical.isolated_labels)
-
-
 def wl_signature(graph: LabeledGraph, rounds: int = 2) -> Tuple:
     """A cheap isomorphism-*invariant* signature (Weisfeiler–Lehman colouring).
 
     Isomorphic graphs always produce equal signatures; non-isomorphic graphs
     usually (but not provably) produce different ones, so the signature is a
-    hash-bucket key, not a canonical form.  Callers that need exactness
-    confirm collisions with :func:`repro.graph.isomorphism.are_isomorphic`
-    (see ``PatternRegistry`` in the LevelGrow module), use
-    :func:`tree_canonical_key` for trees, or fall back to
-    :func:`minimum_dfs_code`.
+    hash-bucket key, not a canonical form.  LevelGrow's duplicate registry
+    uses it as the rung above the exact ladder: patterns of cycle rank >= 3,
+    for which :func:`ladder_key` returns ``None``, are bucketed by signature
+    and collisions confirmed with :func:`repro.graph.isomorphism.are_isomorphic`
+    (see ``PatternRegistry`` in the LevelGrow module).
 
     The colour of a vertex starts as its (label, degree) pair and is refined
     ``rounds`` times from the multiset of neighbour colours; the signature
@@ -458,49 +438,17 @@ def unicyclic_canonical_key(graph: LabeledGraph) -> Tuple:
     duplicate-registry trick :func:`tree_canonical_key` plays for trees, one
     cycle up: the growth engine's cycle-closing candidates are almost always
     unicyclic, and this key spares them the WL-bucket + VF2 confirmation.
-
-    Only rotations/reflections whose *starting* ``(tree, edge)`` pair is the
-    minimal one can realise the lexicographic minimum, so the candidate set
-    is filtered to those starts before any full sequence is materialised —
-    on the growth engine's cycles that is one or two candidates instead of
-    ``2·length``.
+    It is the key of the batch-built :class:`UnicyclicEncodings`, which the
+    growth loop then extends one pendant leaf at a time.
 
     Raises ``ValueError`` when the edge count is wrong or the graph is
-    disconnected (an ``|E| = |V|`` graph may also be a cycle plus separate
-    trees, whose hanging forests this construction would silently ignore).
+    empty or disconnected (an ``|E| = |V|`` graph may also be a cycle plus
+    separate trees, whose hanging forests this construction would silently
+    ignore).
     """
-    order = graph.num_vertices()
-    if graph.num_edges() != order or not graph.is_connected():
+    if graph.num_vertices() == 0:
         raise ValueError("unicyclic_canonical_key requires one connected cycle")
-
-    # Strip degree-1 vertices; what survives is exactly the cycle.
-    degrees = _strip_to_core(graph)
-    cycle_set = {vertex for vertex, deg in degrees.items() if deg >= 2}
-
-    # Walk the cycle once to fix a traversal order.
-    start = min(cycle_set)
-    cycle: List[VertexId] = [start]
-    previous: Optional[VertexId] = None
-    current = start
-    while True:
-        step = next(
-            neighbor
-            for neighbor in graph.neighbors(current)
-            if neighbor in cycle_set and neighbor != previous
-        )
-        if step == start:
-            break
-        cycle.append(step)
-        previous, current = current, step
-    length = len(cycle)
-
-    edge_key = _make_edge_key(graph)
-    trees = [_hanging_encoding(graph, cycle_set, vertex, edge_key) for vertex in cycle]
-    edges = [
-        edge_key(cycle[index], cycle[(index + 1) % length])
-        for index in range(length)
-    ]
-    return _cycle_rotation_key(trees, edges)
+    return UnicyclicEncodings.from_graph(graph).key
 
 
 def _cycle_rotation_key(trees: List[Tuple], edges: List[str]) -> Tuple:
@@ -667,6 +615,62 @@ def bicyclic_canonical_key(graph: LabeledGraph) -> Tuple:
             )
         )
     return ("b", "dumbbell", min(candidates))
+
+
+def ladder_key(graph: LabeledGraph) -> Optional[Tuple]:
+    """The exact key of the rung matching ``graph``'s cycle rank, else ``None``.
+
+    Cycle rank ``|E| - |V| + 1`` picks :func:`tree_canonical_key` (0),
+    :func:`unicyclic_canonical_key` (1) or :func:`bicyclic_canonical_key`
+    (2).  ``None`` means no exact rung applies: rank >= 3, or a disconnected
+    or empty graph — detected by the ``ValueError`` the rung's own shape
+    check raises, so connected inputs pay no extra connectivity pass.
+    """
+    rank = graph.num_edges() - graph.num_vertices() + 1
+    try:
+        if rank == 0:
+            return tree_canonical_key(graph)
+        if rank == 1:
+            return unicyclic_canonical_key(graph)
+        if rank == 2:
+            return bicyclic_canonical_key(graph)
+    except ValueError:
+        pass
+    return None
+
+
+def canonical_key(graph: LabeledGraph) -> Tuple:
+    """The canonical form: a hashable key, equal iff the graphs are isomorphic.
+
+    The cycle-rank ladder (:func:`ladder_key`) answers every connected graph
+    of rank <= 2; rank >= 3, disconnected and empty graphs fall back to the
+    minimum DFS code.  The first element of every key names its rung.
+
+    >>> from repro.graph.labeled_graph import build_graph
+    >>> square = build_graph(
+    ...     {0: "a", 1: "b", 2: "a", 3: "b"}, [(0, 1), (1, 2), (2, 3), (3, 0)]
+    ... )
+    >>> renumbered = build_graph(
+    ...     {9: "b", 4: "a", 7: "b", 2: "a"}, [(9, 4), (4, 7), (7, 2), (2, 9)]
+    ... )
+    >>> canonical_key(square) == canonical_key(renumbered)
+    True
+    >>> theta = build_graph(
+    ...     {0: "a", 1: "a", 2: "b", 3: "b", 4: "b"},
+    ...     [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)],
+    ... )
+    >>> k4 = build_graph(
+    ...     {0: "a", 1: "a", 2: "a", 3: "a"},
+    ...     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+    ... )
+    >>> canonical_key(theta)[:2], canonical_key(k4)[0]
+    (('b', 'theta'), 'dfs')
+    """
+    key = ladder_key(graph)
+    if key is not None:
+        return key
+    canonical = minimum_dfs_code(graph)
+    return ("dfs", canonical.code, canonical.num_vertices, canonical.isolated_labels)
 
 
 class TreeEncodings:

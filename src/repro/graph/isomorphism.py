@@ -278,6 +278,8 @@ def are_isomorphic(graph_a: LabeledGraph, graph_b: LabeledGraph) -> bool:
     )
     if degrees_a != degrees_b:
         return False
+    if graph_a.num_vertices() == 0:
+        return True  # two empty graphs; the matcher yields no empty mapping
     for mapping in iter_subgraph_embeddings(graph_a, graph_b):
         # Same vertex and edge count + subgraph embedding => isomorphism.
         del mapping

@@ -1,4 +1,5 @@
-"""Tests for gSpan-style minimum DFS codes."""
+"""Tests for the canonical forms: the cycle-rank ladder, the minimum DFS code
+fallback, the incremental encodings and the WL signature."""
 
 from __future__ import annotations
 
@@ -486,35 +487,169 @@ class TestWLSignature:
         assert hash(wl_signature(graph)) == hash(wl_signature(graph))
 
 
-class TestCanonicalCodeProperties:
-    @given(
-        st.integers(min_value=2, max_value=7),
-        st.integers(min_value=1, max_value=3),
-        st.integers(min_value=0, max_value=5_000),
-        st.integers(min_value=0, max_value=5_000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_code_invariant_under_relabeling(self, size, labels, seed, shuffle_seed):
-        tree = random_tree_pattern(size, labels, seed=seed)
-        rng = random.Random(shuffle_seed)
-        ids = list(tree.vertices())
-        targets = [i + 500 for i in ids]
-        rng.shuffle(targets)
-        renamed = tree.relabel_vertices(dict(zip(ids, targets)))
-        assert minimum_dfs_code(tree) == minimum_dfs_code(renamed)
+def _random_connected(rng, size, rank, num_labels, num_edge_labels):
+    """A random connected graph of cycle rank ``rank``, every edge labeled.
 
-    @given(
-        st.integers(min_value=4, max_value=8),
-        st.integers(min_value=0, max_value=2_000),
-        st.integers(min_value=0, max_value=2_000),
+    A random spanning tree plus ``rank`` random chords.  Every edge carries a
+    label because ``are_isomorphic`` matches an unlabeled pattern edge as a
+    wildcard, which would make the isomorphism oracle weaker than the keys.
+    """
+    labels = "abc"[:num_labels]
+    edge_labels = "xyz"[:num_edge_labels]
+    graph = LabeledGraph()
+    graph.add_vertex(0, rng.choice(labels))
+    for vertex in range(1, size):
+        graph.add_vertex(vertex, rng.choice(labels))
+        graph.add_edge(rng.randrange(vertex), vertex, rng.choice(edge_labels))
+    chords = [
+        (u, v)
+        for u in range(size)
+        for v in range(u + 1, size)
+        if not graph.has_edge(u, v)
+    ]
+    for u, v in rng.sample(chords, rank):
+        graph.add_edge(u, v, rng.choice(edge_labels))
+    return graph
+
+
+#: Fewest vertices a simple connected graph of each cycle rank needs.
+_MIN_ORDER = {0: 1, 1: 3, 2: 4, 3: 4, 4: 5}
+
+
+@st.composite
+def _graph_pairs(draw, max_order=7):
+    """Two graphs drawn alike: connected of rank 0-4, or a two-component union.
+
+    The pair shares its shape parameters and small label alphabets, so it is
+    isomorphic often enough to exercise both sides of every equality.  The
+    union of two components of ranks ``r1`` and ``r2`` has cycle rank
+    ``r1 + r2 - 1``, so the disconnected draws span ranks -1 to 4 — among
+    them 0 to 2, where the ladder must step aside for the DFS code.
+    """
+    num_labels = draw(st.integers(min_value=1, max_value=2))
+    num_edge_labels = draw(st.integers(min_value=1, max_value=2))
+    shapes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        rank = draw(st.integers(min_value=0, max_value=4 if not shapes else 1))
+        low = _MIN_ORDER[rank]
+        high = max_order if not shapes else low + 1
+        shapes.append((draw(st.integers(min_value=low, max_value=high)), rank))
+
+    def build(seed):
+        rng = random.Random(seed)
+        graph = LabeledGraph()
+        offset = 0
+        for size, rank in shapes:
+            part = _random_connected(rng, size, rank, num_labels, num_edge_labels)
+            graph = graph.merged_with(
+                part.relabel_vertices({v: v + offset for v in part.vertices()})
+            )
+            offset += size
+        return graph
+
+    return (
+        build(draw(st.integers(min_value=0, max_value=10_000))),
+        build(draw(st.integers(min_value=0, max_value=10_000))),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_code_equality_matches_isomorphism(self, size, seed_a, seed_b):
-        left = random_tree_pattern(size, 2, seed=seed_a)
-        right = random_tree_pattern(size, 2, seed=seed_b)
-        assert (minimum_dfs_code(left) == minimum_dfs_code(right)) == are_isomorphic(
-            left, right
-        )
+
+
+def _renumbered(graph, seed):
+    rng = random.Random(seed)
+    ids = list(graph.vertices())
+    targets = [i + 500 for i in ids]
+    rng.shuffle(targets)
+    return graph.relabel_vertices(dict(zip(ids, targets)))
+
+
+def _rank(graph):
+    return graph.num_edges() - graph.num_vertices() + 1
+
+
+class TestCanonicalCodeProperties:
+    """``canonical_key``'s cycle-rank dispatch against two independent oracles."""
+
+    @given(_graph_pairs(), st.integers(min_value=0, max_value=5_000))
+    @settings(max_examples=60, deadline=None)
+    def test_code_invariant_under_relabeling(self, pair, shuffle_seed):
+        graph, _ = pair
+        renamed = _renumbered(graph, shuffle_seed)
+        assert canonical_key(graph) == canonical_key(renamed)
+        assert minimum_dfs_code(graph) == minimum_dfs_code(renamed)
+
+    @given(_graph_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_code_equality_matches_isomorphism(self, pair):
+        left, right = pair
+        by_key = canonical_key(left) == canonical_key(right)
+        by_dfs = minimum_dfs_code(left) == minimum_dfs_code(right)
+        assert by_key == are_isomorphic(left, right) == by_dfs
+
+    @given(_graph_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_dispatch_follows_cycle_rank(self, pair):
+        graph, _ = pair
+        rung = canonical_key(graph)[0]
+        if graph.is_connected() and 0 <= _rank(graph) <= 2:
+            assert rung == ("t", "u", "b")[_rank(graph)]
+        else:
+            assert rung == "dfs"
+
+    @pytest.mark.parametrize(
+        "disconnected, connected",
+        [
+            # rank 0: triangle + isolated vertex vs a 4-vertex path
+            (
+                [(0, 1), (1, 2), (0, 2)],
+                [(0, 1), (1, 2), (2, 3)],
+            ),
+            # rank 1: two triangles vs a 6-cycle
+            (
+                [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)],
+            ),
+            # rank 2: K4 + isolated vertex vs a theta graph
+            (
+                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+                [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)],
+            ),
+        ],
+        ids=["rank0", "rank1", "rank2"],
+    )
+    def test_disconnected_graphs_fall_through_to_the_dfs_code(
+        self, disconnected, connected
+    ):
+        order = 1 + max(max(edge) for edge in disconnected + connected)
+        vertices = {v: "a" for v in range(order)}
+        split = build_graph(vertices, disconnected)
+        whole = build_graph(vertices, connected)
+        assert _rank(split) == _rank(whole)
+        assert canonical_key(split)[0] == "dfs"
+        assert canonical_key(split) == canonical_key(_renumbered(split, 7))
+        assert canonical_key(split) != canonical_key(whole)
+        assert not are_isomorphic(split, whole)
+        assert minimum_dfs_code(split) != minimum_dfs_code(whole)
+
+    def test_isolated_vertex_labels_distinguish(self):
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        with_a = build_graph({0: "a", 1: "a", 2: "a", 3: "a"}, triangle)
+        with_b = build_graph({0: "a", 1: "a", 2: "a", 3: "b"}, triangle)
+        assert canonical_key(with_a) != canonical_key(with_b)
+        assert not are_isomorphic(with_a, with_b)
+        assert minimum_dfs_code(with_a) != minimum_dfs_code(with_b)
+
+    def test_single_vertex_and_empty_graph(self):
+        single = build_graph({3: "a"}, [])
+        empty = LabeledGraph()
+        assert canonical_key(single) == canonical_key(build_graph({9: "a"}, []))
+        assert canonical_key(single) == ("t", "a")
+        assert canonical_key(single) != canonical_key(build_graph({3: "b"}, []))
+        assert canonical_key(empty) == canonical_key(LabeledGraph())
+        assert canonical_key(empty)[0] == "dfs"
+        assert canonical_key(empty) != canonical_key(single)
+        assert are_isomorphic(empty, LabeledGraph())
+        assert not are_isomorphic(empty, single)
+        assert minimum_dfs_code(empty) == minimum_dfs_code(LabeledGraph())
+        assert minimum_dfs_code(empty) != minimum_dfs_code(single)
 
     @given(
         st.integers(min_value=4, max_value=8),
@@ -528,3 +663,4 @@ class TestCanonicalCodeProperties:
         )
         compacted, _ = pattern.compact()
         assert minimum_dfs_code(pattern) == minimum_dfs_code(compacted)
+        assert canonical_key(pattern) == canonical_key(compacted)

@@ -447,6 +447,34 @@ class MiningContext:
             return min(len(position_images) for position_images in images)
         return len({(index, frozenset(vertices)) for index, vertices in occurrence_list})
 
+    def path_support_upper_bound(self, occurrences: int, labels: Tuple[str, ...]) -> int:
+        """Most support :meth:`support_of_path_occurrences` can give ``occurrences``.
+
+        ``occurrences`` counts the distinct undirected occurrences of the
+        path ``labels``, so a caller can drop a path that cannot be frequent
+        before it builds a single occurrence.  Each occurrence adds at most
+        one transaction, one vertex set and one image per position, so the
+        bound is ``occurrences`` under every measure, except MNI on a
+        palindromic sequence: there both readings of an occurrence are
+        embeddings, and each position can gain two images.
+
+        Examples
+        --------
+        >>> from repro.graph.labeled_graph import graph_from_paths
+        >>> graph = graph_from_paths([["a", "a"]])
+        >>> MiningContext(graph, 1).path_support_upper_bound(3, ("a", "a"))
+        3
+        >>> mni = MiningContext(graph, 1, SupportMeasure.MNI)
+        >>> mni.path_support_upper_bound(3, ("a", "a"))
+        6
+        >>> mni.path_support_upper_bound(3, ("a", "b"))
+        3
+        """
+        palindromic = tuple(labels) == tuple(reversed(labels))
+        if palindromic and self.support_measure is SupportMeasure.MNI:
+            return 2 * occurrences
+        return occurrences
+
     def is_frequent(self, support: int) -> bool:
         return support >= self.min_support
 

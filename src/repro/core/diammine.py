@@ -19,6 +19,15 @@ Internally the miner works with *directed* label sequences (each undirected
 path appears in both orientations) because joins become simple index lookups;
 results are canonicalised to undirected paths at the end (and whenever
 support is counted).
+
+The ladder's first rung, the frequent single edges, is count-then-build
+(gSpan likewise drops infrequent edge labels before building anything).
+One sweep over the frozen views files every edge under its unordered label
+pair.  Only a pair whose support upper bound can pass the intermediate
+filter gets directed occurrence sets and an exact support count.  The bound
+(:meth:`MiningContext.path_support_upper_bound`) is the pair's edge count
+under every measure, or twice that under MNI when the pair is palindromic,
+because both readings of an edge are then images.
 """
 
 from __future__ import annotations
@@ -109,6 +118,36 @@ class _DirectedPathSet:
         return context.support_of_path_occurrences(
             deduplicated.values(), labels=self.labels
         )
+
+
+def _edge_readings(
+    first: str, second: str, flat: List[int]
+) -> Tuple[_DirectedPathSet, ...]:
+    """The directed occurrence sets of one label pair's edges.
+
+    ``flat`` lists each edge as graph index, then the endpoint carrying
+    ``first``, then the one carrying ``second`` (the format of
+    :meth:`DiamMine._edges_by_label_pair`).  A palindromic pair has one
+    sequence, which holds both readings of every edge: (u, v) then (v, u),
+    edge by edge.  The reading a palindrome reports is whichever its set
+    yields first (docs/CORRECTNESS.md), so that insertion order shows.
+    """
+    fields = iter(flat)
+    edges = zip(fields, fields, fields)
+    forward = _DirectedPathSet(labels=(first, second))
+    if first == second:
+        add = forward.occurrences.add
+        for graph_index, u, v in edges:
+            add((graph_index, (u, v)))
+            add((graph_index, (v, u)))
+        return (forward,)
+    occurrences = [(graph_index, (u, v)) for graph_index, u, v in edges]
+    forward.occurrences.update(occurrences)
+    backward = _DirectedPathSet(
+        labels=(second, first),
+        occurrences={(g, (v, u)) for g, (u, v) in occurrences},
+    )
+    return (forward, backward)
 
 
 class DiamMine:
@@ -206,34 +245,85 @@ class DiamMine:
     # Step 0: frequent edges
     # ------------------------------------------------------------------ #
     def _frequent_edges(self) -> Dict[LabelSeq, _DirectedPathSet]:
+        """The ladder's first rung, built count-then-build.
+
+        Only a label pair whose support upper bound can pass
+        :meth:`_intermediate_frequent` gets occurrence sets and an exact
+        support count, so the rung equals filtering every pair exactly.
+        """
         if 1 in self._ladder:
             return self._ladder[1]
+        context = self._context
         with self._tracer.span("stage1.ladder", length=1) as span:
-            collected: Dict[LabelSeq, _DirectedPathSet] = {}
-            for graph_index in self._context.graph_indices():
-                # Frozen CSR view: the edge sweep reads palette-cached label
-                # strings instead of str()-ing every endpoint label again.
-                graph = self._context.frozen_graph(graph_index)
-                label_strs = graph.label_strs
-                for edge in graph.edges():
-                    label_u = label_strs[edge.u]
-                    label_v = label_strs[edge.v]
-                    for sequence, vertices in (
-                        ((label_u, label_v), (edge.u, edge.v)),
-                        ((label_v, label_u), (edge.v, edge.u)),
-                    ):
-                        entry = collected.setdefault(
-                            sequence, _DirectedPathSet(labels=sequence)
-                        )
-                        entry.occurrences.add((graph_index, vertices))
-            frequent = {
-                labels: paths
-                for labels, paths in collected.items()
-                if self._intermediate_frequent(paths.undirected_support(self._context))
-            }
-            span.annotate(paths=len(frequent))
+            by_pair, edges = self._edges_by_label_pair()
+            kept = []
+            label_pairs = counted = 0
+            for first, partners in by_pair.items():
+                label_pairs += len(partners)
+                for second, flat in partners.items():
+                    bound = context.path_support_upper_bound(
+                        len(flat) // 3, (first, second)
+                    )
+                    if not self._intermediate_frequent(bound):
+                        continue
+                    counted += 1
+                    readings = _edge_readings(first, second, flat)
+                    # Both readings of a pair have the same support.
+                    if self._intermediate_frequent(readings[0].undirected_support(context)):
+                        # x carries the smaller label: x > y means the
+                        # first edge reads larger-first from its smaller id.
+                        graph_index, x, y = flat[:3]
+                        first_edge = (graph_index, min(x, y), max(x, y))
+                        kept.append((first_edge, x > y, readings))
+            # Sequences enter in the order an edge sweep first reads them:
+            # by each pair's first edge, the reading from its smaller id
+            # first.  The joins above allocate their occurrences in this
+            # order, and Stage 2 measured ~3% slower on the layout another
+            # order left (same output, same call counts).
+            kept.sort(key=lambda entry: entry[0])
+            frequent: Dict[LabelSeq, _DirectedPathSet] = {}
+            for _, flipped, readings in kept:
+                for path_set in reversed(readings) if flipped else readings:
+                    frequent[path_set.labels] = path_set
+            span.annotate(
+                paths=len(frequent),
+                edges=edges,
+                label_pairs=label_pairs,
+                label_pairs_counted=counted,
+            )
         self._ladder[1] = frequent
         return frequent
+
+    def _edges_by_label_pair(self) -> Tuple[Dict[str, Dict[str, List[int]]], int]:
+        """Every edge filed under its unordered label pair, and the edge count.
+
+        One sweep over the frozen views' ``adjacency`` and ``label_strs``
+        builds no ``Edge`` objects.  The result maps smaller label → larger
+        label → a flat int list holding, per edge in CSR edge order, the
+        graph index and the two endpoints: first the one carrying the
+        smaller label, or the smaller id when both labels are equal.
+        """
+        context = self._context
+        by_pair: Dict[str, Dict[str, List[int]]] = {}
+        edges = 0
+        for graph_index in context.graph_indices():
+            graph = context.frozen_graph(graph_index)
+            edges += graph.num_edges()
+            label_strs = graph.label_strs
+            for u, run in graph.adjacency.items():
+                label_u = label_strs[u]
+                for v in run:
+                    if u < v:
+                        label_v = label_strs[v]
+                        if label_u <= label_v:
+                            by_pair.setdefault(label_u, {}).setdefault(
+                                label_v, []
+                            ).extend((graph_index, u, v))
+                        else:
+                            by_pair.setdefault(label_v, {}).setdefault(
+                                label_u, []
+                            ).extend((graph_index, v, u))
+        return by_pair, edges
 
     def _intermediate_frequent(self, support: int) -> bool:
         """Frequency filter applied to intermediate (ladder) lengths.

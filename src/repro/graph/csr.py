@@ -227,12 +227,7 @@ class CSRGraph:
 
         intern = self.palette.intern
         self.label_codes = array("l", (intern(labels[vid]) for vid in vertex_ids))
-
-        edge_labels = {
-            edge.endpoints(): edge.label
-            for edge in graph.edges()
-            if edge.label is not None
-        }
+        edge_labels = graph.edge_labels()
 
         indptr = array("q", [0])
         indices = array("q")
@@ -347,6 +342,10 @@ class CSRGraph:
     def vertex_labels(self) -> Dict[VertexId, Label]:
         """Return a copy of the vertex → label mapping."""
         return dict(self._labels)
+
+    def edge_labels(self) -> Dict[Tuple[VertexId, VertexId], Label]:
+        """Return a copy of the ``(min, max)`` endpoints → edge label mapping."""
+        return dict(self._edge_labels)
 
     def edges(self) -> Iterator[Edge]:
         """Yield each undirected edge exactly once (ascending id order)."""

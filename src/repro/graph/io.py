@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import re
+from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from repro.graph.labeled_graph import Label, LabeledGraph
 
@@ -192,20 +193,40 @@ def graph_from_record(record: Dict) -> LabeledGraph:
 # --------------------------------------------------------------------- #
 # content fingerprints (index-store keys)
 # --------------------------------------------------------------------- #
+#: Lines hashed per ``sha256.update`` call: large enough that per-call
+#: overhead vanishes, small enough that no graph is held as one string.
+_FINGERPRINT_CHUNK_LINES = 8192
+
+
+def _fingerprint_lines(graph: LabeledGraph) -> Iterator[str]:
+    """``v <id> <label!r>`` per vertex, then ``e <u> <v> <label!r>`` per edge, sorted."""
+    labels = graph.vertex_labels()
+    edge_labels = graph.edge_labels()
+    vertices = sorted(labels)
+    for vertex in vertices:
+        yield f"v {vertex} {labels[vertex]!r}\n"
+    for u in vertices:
+        for v in sorted(graph.neighbors(u)):
+            if u < v:
+                yield f"e {u} {v} {edge_labels.get((u, v))!r}\n"
+
+
 def graph_fingerprint(graph: LabeledGraph) -> str:
     """A stable hex digest of the graph's *content* (vertices, labels, edges).
 
     Two graphs with identical vertex ids, labels and edges produce the same
     fingerprint regardless of insertion order or object identity; any edit
     (including via :class:`repro.core.database.GraphDelta`) changes it.  The
-    graph name is deliberately excluded — it is presentation metadata.
+    graph name is deliberately excluded — it is presentation metadata.  The
+    digest keys stored index entries, so its input lines must never change.
     """
     digest = hashlib.sha256()
-    for vertex in sorted(graph.vertices()):
-        digest.update(f"v {vertex} {graph.label_of(vertex)!r}\n".encode("utf-8"))
-    for u, v in sorted(edge.endpoints() for edge in graph.edges()):
-        digest.update(f"e {u} {v} {graph.edge_label(u, v)!r}\n".encode("utf-8"))
-    return digest.hexdigest()
+    lines = _fingerprint_lines(graph)
+    while True:
+        chunk = "".join(islice(lines, _FINGERPRINT_CHUNK_LINES))
+        if not chunk:
+            return digest.hexdigest()
+        digest.update(chunk.encode("utf-8"))
 
 
 def dataset_fingerprint(graphs: Union[LabeledGraph, Sequence[LabeledGraph]]) -> str:

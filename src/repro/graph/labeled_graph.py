@@ -210,6 +210,14 @@ class LabeledGraph:
         """Return a copy of the vertex → label mapping."""
         return dict(self._labels)
 
+    def edge_labels(self) -> Dict[Tuple[VertexId, VertexId], Label]:
+        """Return a copy of the ``(min, max)`` endpoints → edge label mapping.
+
+        Unlabeled edges are absent, so a graph without edge labels returns
+        an empty dict without visiting its edges.
+        """
+        return dict(self._edge_labels)
+
     def edges(self) -> Iterator[Edge]:
         """Yield each undirected edge exactly once."""
         for u in self._labels:

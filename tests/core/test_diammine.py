@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.database import MiningContext, SupportMeasure
-from repro.core.diammine import DiamMine, brute_force_frequent_paths, mine_frequent_paths
+from repro.core.diammine import (
+    DiamMine,
+    Stage1Mode,
+    _DirectedPathSet,
+    brute_force_frequent_paths,
+    mine_frequent_paths,
+)
 from repro.core.orders import canonical_label_orientation
 from repro.graph.generators import (
     erdos_renyi_graph,
@@ -17,6 +25,65 @@ from repro.graph.generators import (
 )
 from repro.graph.labeled_graph import graph_from_paths
 from repro.graph.paths import is_simple_path
+from repro.obs.trace import Tracer
+
+
+class _ReferenceDiamMine(DiamMine):
+    """DiamMine with the length-1 rung as a plain per-edge loop.
+
+    Every edge adds both readings to a directed occurrence set, and every
+    set gets an exact support count; the count-then-build rung must agree
+    with it on the rung itself and on everything mined above it.
+    """
+
+    def _frequent_edges(self):
+        if 1 in self._ladder:
+            return self._ladder[1]
+        collected = {}
+        for graph_index in self._context.graph_indices():
+            graph = self._context.frozen_graph(graph_index)
+            label_strs = graph.label_strs
+            for edge in graph.edges():
+                label_u = label_strs[edge.u]
+                label_v = label_strs[edge.v]
+                for sequence, vertices in (
+                    ((label_u, label_v), (edge.u, edge.v)),
+                    ((label_v, label_u), (edge.v, edge.u)),
+                ):
+                    entry = collected.setdefault(sequence, _DirectedPathSet(labels=sequence))
+                    entry.occurrences.add((graph_index, vertices))
+        frequent = {
+            labels: paths
+            for labels, paths in collected.items()
+            if self._intermediate_frequent(paths.undirected_support(self._context))
+        }
+        self._ladder[1] = frequent
+        return frequent
+
+
+def _rung_one(miner):
+    """Length-1 rung as (labels, occurrences), both in iteration order."""
+    return [
+        (labels, list(path_set.occurrences))
+        for labels, path_set in miner._paths_of_length(1).items()
+    ]
+
+
+def _mined(miner, length):
+    return [(path.labels, path.support, path.embeddings) for path in miner.mine(length)]
+
+
+def assert_matches_reference(graphs):
+    for measure in SupportMeasure:
+        for mode in Stage1Mode:
+            for sigma in (1, 2, 3, 4, 6, 8):
+                miner = DiamMine(MiningContext(graphs, sigma, measure), mode=mode)
+                reference = _ReferenceDiamMine(
+                    MiningContext(graphs, sigma, measure), mode=mode
+                )
+                assert _rung_one(miner) == _rung_one(reference)
+                for length in (1, 2, 3):
+                    assert _mined(miner, length) == _mined(reference, length)
 
 
 class TestFrequentEdges:
@@ -36,6 +103,47 @@ class TestFrequentEdges:
     def test_invalid_length(self, triangle_graph):
         with pytest.raises(ValueError):
             DiamMine(MiningContext(triangle_graph, 1)).mine(0)
+
+    def test_support_is_counted_only_for_pairs_that_can_pass(self, monkeypatch):
+        graph = erdos_renyi_graph(3000, 4.0, 60, seed=11)
+        sigma = 8
+        edges_per_pair = Counter(
+            canonical_label_orientation((graph.label_of(edge.u), graph.label_of(edge.v)))
+            for edge in graph.edges()
+        )
+        can_pass = sum(count >= sigma for count in edges_per_pair.values())
+        assert (graph.num_edges(), len(edges_per_pair), can_pass) == (5900, 1716, 52)
+        calls = []
+        count_support = MiningContext.support_of_path_occurrences
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return count_support(self, *args, **kwargs)
+
+        monkeypatch.setattr(MiningContext, "support_of_path_occurrences", counted)
+        frequent = DiamMine(MiningContext(graph, sigma), mode="pruned").mine(1)
+        assert len(frequent) == 52
+        assert len(calls) <= 3 * can_pass
+
+    @pytest.mark.parametrize(
+        "measure, counted, paths",
+        [(SupportMeasure.EMBEDDINGS, 1, 2), (SupportMeasure.MNI, 2, 3)],
+    )
+    def test_rung_span_reports_the_sweep(self, measure, counted, paths):
+        # Under MNI both readings of the lone c-c edge are images, so its
+        # bound (and its support) is 2 and it passes σ=2.
+        graph = graph_from_paths([["a", "b"], ["a", "b"], ["b", "a"], ["a", "c"], ["c", "c"]])
+        tracer = Tracer()
+        DiamMine(MiningContext(graph, 2, measure), mode="pruned", tracer=tracer).mine(1)
+        [rung] = tracer.drain()
+        assert rung["name"] == "stage1.ladder"
+        assert rung["attrs"] == {
+            "length": 1,
+            "paths": paths,
+            "edges": 5,
+            "label_pairs": 3,
+            "label_pairs_counted": counted,
+        }
 
 
 class TestPowersOfTwo:
@@ -186,10 +294,13 @@ class TestAgainstBruteForce:
         self, vertices, degree, labels, seed, length
     ):
         graph = erdos_renyi_graph(vertices, degree, labels, seed=seed)
-        context = MiningContext(graph, 2)
-        mined = DiamMine(context, prune_intermediate=False).mine(length)
-        brute = brute_force_frequent_paths(context, length)
-        assert sorted(p.labels for p in mined) == sorted(p.labels for p in brute)
+        for measure in (SupportMeasure.EMBEDDINGS, SupportMeasure.MNI):
+            context = MiningContext(graph, 2, measure)
+            mined = DiamMine(context, prune_intermediate=False).mine(length)
+            brute = brute_force_frequent_paths(context, length)
+            assert {p.labels: p.support for p in mined} == {
+                p.labels: p.support for p in brute
+            }
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=10, deadline=None)
@@ -198,4 +309,35 @@ class TestAgainstBruteForce:
         context = MiningContext(database, 2)
         mined = DiamMine(context).mine(3)
         brute = brute_force_frequent_paths(context, 3)
-        assert sorted(p.labels for p in mined) == sorted(p.labels for p in brute)
+        assert {p.labels: p.support for p in mined} == {p.labels: p.support for p in brute}
+
+
+class TestAgainstReferenceRung:
+    """Count-then-build against the per-edge loop: same rung, same output.
+
+    Few labels make palindromic pairs common, which is where the reported
+    reading of an embedding follows set insertion order.
+    """
+
+    @given(
+        st.integers(min_value=2, max_value=30),
+        st.floats(min_value=1.0, max_value=3.5),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=5_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_single_graph(self, vertices, degree, labels, seed):
+        assert_matches_reference(erdos_renyi_graph(vertices, degree, labels, seed=seed))
+
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=3, max_value=12),
+        st.floats(min_value=1.0, max_value=3.0),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=5_000),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_transaction_database(self, graphs, vertices, degree, labels, seed):
+        assert_matches_reference(
+            random_transaction_database(graphs, vertices, degree, labels, seed=seed)
+        )

@@ -34,7 +34,7 @@ from repro.graph.paths import diameter, diameter_at_most, sum_sweep_diameter
 # --------------------------------------------------------------------- #
 @st.composite
 def labeled_graphs(draw, max_vertices: int = 12, labels: str = "abc"):
-    """Arbitrary labeled graphs: random ids, labels, edge subsets."""
+    """Arbitrary labeled graphs: random ids, labels, edge subsets, edge labels."""
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     # Non-contiguous, unsorted ids exercise the slot map (identity off).
     ids = draw(
@@ -51,7 +51,7 @@ def labeled_graphs(draw, max_vertices: int = 12, labels: str = "abc"):
     pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
     for u, v in pairs:
         if draw(st.booleans()):
-            graph.add_edge(u, v)
+            graph.add_edge(u, v, draw(st.sampled_from((None, None, "x", 7))))
     return graph
 
 
@@ -113,6 +113,7 @@ class TestReadParity:
         assert sorted(iter(frozen)) == sorted(graph.vertices())
         assert frozen.labels_used() == graph.labels_used()
         assert frozen.label_histogram() == graph.label_histogram()
+        assert frozen.edge_labels() == graph.edge_labels()
         assert frozen.is_connected() == graph.is_connected()
         assert sorted(map(sorted, frozen.connected_components())) == sorted(
             map(sorted, graph.connected_components())

@@ -186,6 +186,32 @@ class TestFingerprints:
         edited.add_edge(1, 2)
         assert graph_fingerprint(edited) == original
 
+    def test_digests_are_pinned(self):
+        """Store keys embed these digests: a change orphans every stored entry."""
+        from repro.graph.io import dataset_fingerprint, graph_fingerprint
+        from repro.graph.labeled_graph import LabeledGraph
+
+        plain = build_graph(
+            {0: "a", 1: "b", 2: "a", 3: "c"}, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+        )
+        mixed = LabeledGraph()
+        for vertex, label in ((7, 3), (2, 2.5), (11, "x y"), (4, None), (9, ("t", 1))):
+            mixed.add_vertex(vertex, label)
+        mixed.add_edge(11, 2, "knows")
+        mixed.add_edge(7, 4, 5)
+        mixed.add_edge(2, 7)
+        mixed.add_edge(9, 11, ("w", 2))
+        mixed.add_edge(4, 9)
+        assert graph_fingerprint(plain) == (
+            "4a17f984eccb40ba922ce7763301ac7e311a4d49838e06d2f53ad9bf3e1db550"
+        )
+        assert graph_fingerprint(mixed) == (
+            "8f2299455abe6620ec43b4a58517fb30459fe2d3bebd16a58e9ca64da3315de1"
+        )
+        assert dataset_fingerprint([plain, mixed]) == (
+            "8f7120b567e51eb2d96da12a6f67e5a91d1554bd978140b35569b163d23389da"
+        )
+
     def test_dataset_fingerprint_is_order_sensitive(self, triangle_graph, path_graph):
         from repro.graph.io import dataset_fingerprint
 

@@ -80,6 +80,14 @@ class TestEdgeOperations:
         assert graph.edge_label(0, 1) == "knows"
         assert graph.edge_label(1, 0) == "knows"
 
+    def test_edge_labels_is_a_copy_of_the_labeled_edges(self):
+        graph = build_graph({0: "a", 1: "b", 2: "c"}, [(1, 2)])
+        graph.add_edge(1, 0, "knows")
+        labels = graph.edge_labels()
+        assert labels == {(0, 1): "knows"}
+        labels.clear()
+        assert graph.edge_label(0, 1) == "knows"
+
     def test_edge_relabel_conflict_raises(self):
         graph = LabeledGraph()
         graph.add_vertex(0, "a")

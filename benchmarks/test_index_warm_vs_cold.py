@@ -6,7 +6,7 @@ process restart repaid it.  This benchmark measures the new disk-backed
 subsystem on a Table-1 dataset:
 
 * **cold**  — empty store: the request pays Stage 1 (DiamMine) + Stage 2;
-* **warm**  — a *fresh* service over the same store directory: Stage 1 is
+* **warm**  — a *fresh* engine over the same store directory: Stage 1 is
   served from disk with zero recomputation;
 * **repeat** — the same request again: answered from the result cache.
 
@@ -21,35 +21,35 @@ import time
 from conftest import GID_SCALE, MIN_SUPPORT, run_once
 
 from repro.analysis.reporting import print_figure_series
+from repro.api import MiningEngine, Query
 from repro.datasets.synthetic import build_gid_dataset
 from repro.index.store import DiskPatternStore
-from repro.service.mining import MineRequest, MiningService
 
 DELTA = 1
 
 
-def _timed_mine(service: MiningService, request: MineRequest):
+def _timed_run(engine: MiningEngine, query: Query):
     started = time.perf_counter()
-    response = service.mine(request)
+    response = engine.run(query)
     return response, time.perf_counter() - started
 
 
 def _sweep(store_root):
     dataset = build_gid_dataset(1, seed=7, scale=GID_SCALE)
     length = dataset.setting.long_pattern_diameter
-    request = MineRequest(length=length, delta=DELTA, min_support=MIN_SUPPORT)
+    query = Query("skinny", {"length": length, "delta": DELTA}, min_support=MIN_SUPPORT)
 
-    cold_service = MiningService(dataset.graph, store=DiskPatternStore(store_root))
-    cold_response, cold_total = _timed_mine(cold_service, request)
+    cold_engine = MiningEngine(dataset.graph, store=DiskPatternStore(store_root))
+    cold_response, cold_total = _timed_run(cold_engine, query)
     assert not cold_response.stats.served_from_store
 
-    # A brand-new service over the same directory: simulates a process restart.
-    warm_service = MiningService(dataset.graph, store=DiskPatternStore(store_root))
-    warm_response, warm_total = _timed_mine(warm_service, request)
+    # A brand-new engine over the same directory: simulates a process restart.
+    warm_engine = MiningEngine(dataset.graph, store=DiskPatternStore(store_root))
+    warm_response, warm_total = _timed_run(warm_engine, query)
     assert warm_response.stats.served_from_store
     assert not warm_response.stats.result_cache_hit
 
-    repeat_response, repeat_total = _timed_mine(warm_service, request)
+    repeat_response, repeat_total = _timed_run(warm_engine, query)
     assert repeat_response.stats.result_cache_hit
 
     assert {p.canonical_form() for p in warm_response.patterns} == {

@@ -1,11 +1,11 @@
-"""Persistent index + mining service: build once, serve many, update in place.
+"""Persistent index + mining engine: build once, serve many, update in place.
 
-This example exercises the new serving subsystem end to end:
+This example exercises the serving path end to end:
 
 1. build a synthetic data graph with injected skinny patterns;
 2. precompute Stage 1 for several diameter lengths into a **disk store**
    (parallel across lengths);
-3. answer batched :class:`MineRequest` objects — the second pass is served
+3. answer a batch of :class:`Query` objects — the second pass is served
    entirely from the warm store and result cache;
 4. edit the graph through an edge delta and watch the index get **repaired**,
    not rebuilt.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import tempfile
 
-from repro import EdgeDelta, MineRequest, MiningService, Query
+from repro import EdgeDelta, MiningEngine, Query
 from repro.graph.generators import (
     erdos_renyi_graph,
     inject_pattern,
@@ -33,54 +33,61 @@ from repro.graph.generators import (
 from repro.index import DiskPatternStore
 
 
+def skinny(length: int, top_k=None) -> Query:
+    return Query("skinny", {"length": length, "delta": 1}, min_support=2, top_k=top_k)
+
+
 def main() -> None:
     background = erdos_renyi_graph(150, 1.5, 25, seed=1)
     planted = random_skinny_pattern(6, 1, 9, 25, seed=2)
     inject_pattern(background, planted, copies=3, seed=3)
 
-    store_root = tempfile.mkdtemp(prefix="repro-index-")
-    service = MiningService(background, store=DiskPatternStore(store_root))
+    with tempfile.TemporaryDirectory(prefix="repro-index-") as store_root:
+        engine = MiningEngine(background, store=DiskPatternStore(store_root))
 
-    # 1. Offline: Stage 1 for several lengths, in parallel, persisted to disk.
-    counts = service.precompute([4, 5, 6], min_support=2, processes=2)
-    print(f"index store at {store_root}")
-    for length, count in sorted(counts.items()):
-        print(f"  l={length}: {count} minimal pattern(s)")
-
-    # 2. Online: batched requests; repeats hit the result cache.  Generic
-    #    Query objects and legacy MineRequest shims mix freely in one batch
-    #    (MineRequest is the deprecated spelling of the skinny Query).
-    requests = [
-        Query("skinny", {"length": 6, "delta": 1}, min_support=2, top_k=5),
-        MineRequest(length=5, delta=1, min_support=2),
-        Query("skinny", {"length": 6, "delta": 1}, min_support=2, top_k=5),  # duplicate
-    ]
-    for response in service.serve_batch(requests):
-        stats = response.stats
-        source = (
-            "result cache"
-            if stats.result_cache_hit
-            else ("warm index" if stats.served_from_store else "cold")
+        # 1. Offline: Stage 1 for several lengths, in parallel, persisted to disk.
+        lengths = [4, 5, 6]
+        summaries = engine.precompute_queries(
+            [skinny(length) for length in lengths], processes=2
         )
-        params = dict(response.query.params)
+        print(f"index store at {store_root}")
+        for length, summary in zip(lengths, summaries):
+            print(f"  l={length}: {summary['num_patterns']} minimal pattern(s)")
+
+        # 2. Online: a batch of queries; repeats hit the result cache.
+        batch = [skinny(6, top_k=5), skinny(5), skinny(6, top_k=5)]
+        for result in engine.run_batch(batch):
+            stats = result.stats
+            source = (
+                "result cache"
+                if stats.result_cache_hit
+                else ("warm index" if stats.served_from_store else "cold")
+            )
+            params = dict(result.query.params)
+            print(
+                f"l={params['length']} δ={params['delta']}: "
+                f"{len(result.patterns)} pattern(s) in {stats.total_seconds:.4f}s [{source}]"
+            )
+            assert source != "cold", "a precomputed query recomputed Stage 1"
+        assert engine.stats_log[-1].result_cache_hit, "the repeated query ran again"
+
+        # 3. The data changes — an edge on a frequent 6-path disappears:
+        #    repair the index instead of rebuilding it.
+        entry = engine.store.get(engine.stage_one_key(skinny(6)))
+        _, path = entry.patterns[0].embeddings[0]
+        report = engine.apply_delta([EdgeDelta.remove_edge(path[0], path[1])])
         print(
-            f"l={params['length']} δ={params['delta']}: "
-            f"{len(response.patterns)} pattern(s) in {stats.total_seconds:.4f}s [{source}]"
+            f"delta applied: {report.entries_repaired} entr(ies) repaired, "
+            f"{report.entries_migrated} migrated untouched, "
+            f"{report.patterns_dropped} pattern(s) dropped"
         )
-
-    # 3. The data changes: repair the index instead of rebuilding it.
-    victim = next(iter(background.edges()))
-    report = service.apply_delta([EdgeDelta.remove_edge(victim.u, victim.v)])
-    print(
-        f"delta applied: {report.entries_repaired} entr(ies) repaired, "
-        f"{report.entries_migrated} migrated untouched, "
-        f"{report.patterns_dropped} pattern(s) dropped"
-    )
-    response = service.mine(MineRequest(length=6, delta=1, min_support=2, top_k=5))
-    print(
-        f"post-delta l=6 answer: {len(response.patterns)} pattern(s) "
-        f"[{'warm index' if response.stats.served_from_store else 'cold'}]"
-    )
+        assert report.entries_repaired >= 1, report
+        result = engine.run(skinny(6, top_k=5))
+        print(
+            f"post-delta l=6 answer: {len(result.patterns)} pattern(s) "
+            f"[{'warm index' if result.stats.served_from_store else 'cold'}]"
+        )
+        assert result.stats.served_from_store, "the repaired entry was not served"
 
 
 if __name__ == "__main__":

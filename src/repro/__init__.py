@@ -42,7 +42,6 @@ from repro.api import (
 )
 from repro.core import (
     DiamMine,
-    DirectMiner,
     MiningContext,
     MiningReport,
     SkinnyConstraintDriver,
@@ -52,12 +51,10 @@ from repro.core import (
     canonical_diameter,
     is_delta_skinny,
     is_l_long_delta_skinny,
-    mine_skinny_patterns,
 )
 from repro.core.database import EdgeDelta, GraphDelta
 from repro.graph import LabeledGraph
 from repro.index import DiskPatternStore, IndexMaintainer, MemoryPatternStore, PatternStore
-from repro.service import MineRequest, MineResponse, MiningService
 
 
 def _detect_version() -> str:
@@ -91,19 +88,15 @@ __version__ = _detect_version()
 
 __all__ = [
     "DiamMine",
-    "DirectMiner",
     "DiskPatternStore",
     "EdgeDelta",
     "GraphDelta",
     "IndexMaintainer",
     "LabeledGraph",
     "MemoryPatternStore",
-    "MineRequest",
-    "MineResponse",
     "MiningContext",
     "MiningEngine",
     "MiningReport",
-    "MiningService",
     "ParameterError",
     "PatternStore",
     "Query",
@@ -119,7 +112,6 @@ __all__ = [
     "get_constraint",
     "is_delta_skinny",
     "is_l_long_delta_skinny",
-    "mine_skinny_patterns",
     "register_constraint",
     "__version__",
 ]

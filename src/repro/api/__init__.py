@@ -2,9 +2,10 @@
 
 One typed facade over the whole system: a :class:`Query` names any
 registered constraint and is served identically by the in-process
-:class:`MiningEngine`, the batched :class:`repro.service.MiningService`, the
-disk-backed :class:`repro.index.store.PatternStore` (entries keyed by
-``constraint_id``) and the ``repro mine --constraint <id>`` CLI.
+:class:`MiningEngine` (``run`` / ``run_batch``), the disk-backed
+:class:`repro.index.store.PatternStore` (entries keyed by
+``constraint_id``), the ``repro mine --constraint <id>`` and
+``repro serve-batch`` CLI commands and the :mod:`repro.server` tier.
 
 * :mod:`repro.api.registry` — :func:`register_constraint` plus the built-in
   ``skinny`` / ``path`` / ``diam-le`` registrations;
@@ -28,13 +29,7 @@ from repro.api.errors import (
     UnknownConstraintError,
     error_code,
 )
-from repro.api.query import (
-    Query,
-    QueryStats,
-    Result,
-    ResultError,
-    query_from_payload,
-)
+from repro.api.query import Query, QueryStats, Result, ResultError
 from repro.api.registry import (
     ConstraintSpec,
     ParamSpec,
@@ -65,7 +60,6 @@ __all__ = [
     "constraint_specs",
     "error_code",
     "get_constraint",
-    "query_from_payload",
     "register_constraint",
     "unregister_constraint",
 ]

@@ -1,10 +1,11 @@
 """Built-in constraint registrations: ``skinny``, ``path`` and ``diam-le``.
 
 Each registration wires a concrete :class:`repro.core.framework` driver into
-the registry so the constraint is servable through :class:`MiningEngine`,
-``MiningService.serve_batch``, the disk-backed pattern store and the
-``repro mine --constraint <id>`` CLI — the paper's Section-5 claim that
-SkinnyMine is one instance of a generic recipe, made executable.
+the registry so the constraint is servable through :class:`MiningEngine`
+(``run`` / ``run_batch``), the disk-backed pattern store, the
+``repro mine --constraint <id>`` CLI and the serving tier — the paper's
+Section-5 claim that SkinnyMine is one instance of a generic recipe, made
+executable.
 
 This module is imported lazily by :mod:`repro.api.registry` on first lookup;
 import it directly only for its side effect (e.g. in tests that reset the

@@ -1,7 +1,7 @@
 """The :class:`MiningEngine` facade: one entry point, any registered constraint.
 
-The engine owns the machinery that used to be welded to the skinny constraint
-inside ``MiningService``:
+The engine is the one way to mine: the CLI, the serving tier and in-process
+callers all go through it, for every registered constraint.  It owns:
 
 * **Stage 1** — minimal constraint-satisfying patterns are looked up in a
   :class:`repro.index.store.PatternStore` under
@@ -19,9 +19,8 @@ inside ``MiningService``:
   (``skinny``, ``path``) are repaired in place, other constraints' stale
   entries are invalidated so a cold rebuild stays correct.
 
-:class:`repro.service.mining.MiningService` subclasses this engine and layers
-the legacy skinny-specific API (``MineRequest``, length-based ``precompute``
-with multiprocessing) on top.
+:class:`repro.core.skinnymine.SkinnyMine` runs the same skinny driver
+without the store, the result cache or the registry.
 """
 
 from __future__ import annotations
@@ -214,12 +213,8 @@ class MiningEngine:
         safe to share across threads is private to the fork: result/context
         caches, stats log, tracer and metrics registry.  Pass ``store`` to
         point the fork at a snapshot view instead of the parent's store.
-
-        The fork is always a plain :class:`MiningEngine`, even when called
-        on a subclass: subclass extras (e.g. the legacy service shims) are
-        deliberately not inherited by worker engines.
         """
-        forked = MiningEngine(
+        return MiningEngine(
             self._graphs,
             store=store if store is not None else self._store,
             result_cache_size=(
@@ -234,7 +229,6 @@ class MiningEngine:
             metrics=metrics,
             descriptor_cache=self._descriptor_cache,
         )
-        return forked
 
     def _context(self, min_support: int, measure: SupportMeasure) -> MiningContext:
         key = (min_support, measure.value)
@@ -562,10 +556,9 @@ class MiningEngine:
     def run_batch(self, queries: Sequence[Query]) -> List[Result]:
         """Serve a batch in order; duplicate queries hit the result cache.
 
-        Like :meth:`MiningService.serve_batch <repro.service.mining.MiningService.serve_batch>`,
-        the whole batch becomes one ``service.batch`` span with each query's
+        The whole batch becomes one ``service.batch`` span with each query's
         span tree nested under it, and the batch count and latency land in
-        the metrics registry.
+        the metrics registry (``repro serve-batch`` runs through here).
         """
         started = time.perf_counter()
         with self._tracer.span("service.batch", size=len(queries)):

@@ -4,10 +4,10 @@ A :class:`Query` names a registered constraint, carries that constraint's
 parameters (validated against its :class:`~repro.api.registry.ParamSpec`
 schema at construction time), and the request-level knobs every constraint
 shares: support threshold, support measure, ``top_k`` truncation and whether
-minimal patterns appear in the result.  It replaces the skinny-specific
-``MineRequest(l, δ, σ)`` as the canonical request object across in-process
-calls, ``MiningService.serve_batch``, the pattern store and the CLI; the old
-class survives as a deprecation shim (see :mod:`repro.service.mining`).
+minimal patterns appear in the result.  It is the one request object across
+in-process calls (:meth:`repro.api.MiningEngine.run` / ``run_batch``), the
+pattern store, the CLI (``repro mine``, ``repro serve-batch``) and the
+serving tier.
 
 ``to_dict``/``from_dict`` define the JSON envelope::
 
@@ -21,7 +21,6 @@ subclasses — never a bare ``KeyError``.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional
@@ -48,10 +47,10 @@ class Query:
 
     ``params`` is validated (and normalised: defaults filled in, order
     canonicalised) against the constraint's schema in ``__post_init__``, so a
-    constructed ``Query`` is always well-formed.  Like the ``MineRequest`` it
-    replaces, a Query is a hashable frozen value object: ``params`` is
-    exposed through a read-only mapping view, so a validated query can never
-    drift out of sync with its ``cache_key()`` or Stage-1 store key.
+    constructed ``Query`` is always well-formed.  A Query is a hashable
+    frozen value object: ``params`` is exposed through a read-only mapping
+    view, so a validated query can never drift out of sync with its
+    ``cache_key()`` or Stage-1 store key.
 
     Examples
     --------
@@ -167,48 +166,6 @@ class Query:
         )
 
 
-def query_from_payload(payload: Mapping[str, object]) -> Query:
-    """Accept either the Query envelope or a legacy ``MineRequest`` payload.
-
-    Payloads carrying a ``constraint`` field follow the new format; payloads
-    shaped like the pre-redesign ``{"length": l, "delta": d, ...}`` wire
-    format are converted to an equivalent skinny :class:`Query` with a
-    :class:`DeprecationWarning`.
-    """
-    if not isinstance(payload, Mapping):
-        raise MalformedQueryError(f"request payload must be an object, got {payload!r}")
-    if "constraint" in payload:
-        return Query.from_dict(payload)
-    if "length" in payload and "delta" in payload:
-        warnings.warn(
-            "skinny-only request payloads ({'length', 'delta', ...}) are deprecated; "
-            "use {'constraint': 'skinny', 'params': {'length': ..., 'delta': ...}, ...}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        envelope = {
-            key: payload[key]
-            for key in ("min_support", "top_k", "support_measure", "include_minimal")
-            if key in payload
-        }
-        if "sigma" in payload and "min_support" not in envelope:
-            envelope["min_support"] = payload["sigma"]
-        for name in ("length", "delta"):
-            if not isinstance(payload[name], int) or isinstance(payload[name], bool):
-                raise MalformedQueryError(
-                    f"legacy payload field {name!r} must be an integer, got {payload[name]!r}"
-                )
-        return Query(
-            constraint_id="skinny",
-            params={"length": payload["length"], "delta": payload["delta"]},
-            **envelope,
-        )
-    raise MalformedQueryError(
-        f"request payload {dict(payload)!r} is neither a Query envelope "
-        "(needs 'constraint') nor a legacy mine request (needs 'length' and 'delta')"
-    )
-
-
 @dataclass(frozen=True)
 class ResultError:
     """A typed error carried inside a :class:`Result` on the wire.
@@ -267,8 +224,8 @@ class QueryStats:
     a plain dict, or ``None`` when Stage 2 never ran (result-cache hits) or
     the constraint's driver grows without LevelGrow.  The engine builds one
     driver per query, so these counters are per-request by construction and
-    never bleed into the next report (the PR-3 ``SkinnyMine`` counter-merge
-    bug class; pinned by ``tests/service``).
+    never bleed into the next report (the counter-merge bug class
+    ``SkinnyMine`` once had; pinned by ``tests/api/test_engine.py``).
 
     Timing invariant: ``total_seconds == stage_one_seconds +
     stage_two_seconds + overhead_seconds`` always holds — the engine derives

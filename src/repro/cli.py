@@ -8,7 +8,7 @@ unified constraint-plugin API (:mod:`repro.api`):
 * ``repro index info``    — inspect a store (entries, sizes, build times)
 * ``repro index query``   — corpus queries over a store's patterns (indexed on sqlite)
 * ``repro mine``          — answer one query (warm store = no Stage 1)
-* ``repro serve-batch``   — answer a JSON file of batched queries
+* ``repro serve-batch``   — answer a JSON file of Query envelopes
 * ``repro serve``         — run the long-lived concurrent mining service (TCP)
 * ``repro stats``         — render a metrics snapshot written by ``--emit-metrics``
 
@@ -421,7 +421,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_batch(args: argparse.Namespace) -> int:
-    from repro.api import MiningEngine, query_from_payload
+    from repro.api import MiningEngine, Query
 
     graphs = load_dataset(args.data)
     tracer, registry = _telemetry(args)
@@ -430,7 +430,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     payload = json.loads(Path(args.requests).read_text(encoding="utf-8"))
     if not isinstance(payload, list):
         raise ValueError(f"{args.requests}: expected a JSON list of request objects")
-    queries = [query_from_payload(item) for item in payload]
+    queries = [Query.from_dict(item) for item in payload]
     responses = engine.run_batch(queries)
     _export_telemetry(args, engine, "serve-batch", size=len(queries))
     results = [
@@ -731,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--requests",
         required=True,
-        help="JSON file: list of Query envelopes (or legacy mine-request objects)",
+        help="JSON file: list of Query envelopes",
     )
     batch.add_argument(
         "--output", default=None, help="write responses to this file instead of stdout"

@@ -7,9 +7,10 @@ Public entry points
   frequent patterns of a graph or graph database (Algorithm 1).
 * :class:`repro.core.diammine.DiamMine` — Stage I on its own: all frequent
   simple paths of a given length (Algorithm 2).
-* :class:`repro.core.framework.DirectMiner` — the generic two-stage direct
-  mining framework of Section 5, with the reducibility / continuity property
-  checks.
+* :mod:`repro.core.framework` — the generic two-stage direct mining
+  framework of Section 5: the constraint drivers
+  :class:`repro.api.MiningEngine` serves, and the reducibility / continuity
+  property checks.
 * :mod:`repro.core.diameter` — reference implementations of the canonical
   diameter and skinny predicates (Definitions 4–7).
 """
@@ -27,9 +28,6 @@ from repro.core.diammine import DiamMine, brute_force_frequent_paths, mine_frequ
 from repro.core.framework import (
     BoundedDiameterDriver,
     ContinuityReport,
-    DirectMiner,
-    DirectMiningReport,
-    MinimalPatternIndex,
     PathConstraintDriver,
     ReducibilityReport,
     SkinnyConstraintDriver,
@@ -45,7 +43,7 @@ from repro.core.framework import (
 from repro.core.levelgrow import LevelGrower, LevelGrowStatistics
 from repro.core.patterns import GrowthState, PathPattern, SkinnyPattern
 from repro.core.reference import enumerate_and_check_spm
-from repro.core.skinnymine import MiningReport, SkinnyMine, mine_skinny_patterns
+from repro.core.skinnymine import MiningReport, SkinnyMine
 
 __all__ = [
     "MiningContext",
@@ -61,9 +59,6 @@ __all__ = [
     "mine_frequent_paths",
     "BoundedDiameterDriver",
     "ContinuityReport",
-    "DirectMiner",
-    "DirectMiningReport",
-    "MinimalPatternIndex",
     "PathConstraintDriver",
     "ReducibilityReport",
     "SkinnyConstraintDriver",
@@ -83,5 +78,4 @@ __all__ = [
     "enumerate_and_check_spm",
     "MiningReport",
     "SkinnyMine",
-    "mine_skinny_patterns",
 ]

@@ -11,43 +11,34 @@ graph constraint that is *reducible* and *continuous*:
 
 This module provides:
 
-* :class:`GraphConstraint` — the protocol a constraint must implement
-  (satisfaction test, minimal-pattern miner, constraint-preserving grower);
 * :func:`check_reducibility` / :func:`check_continuity` — Property 1 and 2 of
   the paper, decidable on an explicit finite pattern universe.  They are used
   in tests to show the skinny constraint qualifies while the paper's two
   counter-examples (``MaxDegree ≤ K`` and "all degrees equal") fail the
   respective property;
-* :class:`DirectMiner` — the generic two-stage driver, of which SkinnyMine is
-  the concrete instance (`SkinnyConstraintDriver` adapts it);
-* :class:`MinimalPatternIndex` — the pre-computed index of Figure 2 keyed by
-  the constraint parameter (for skinny patterns: the diameter length).
+* :class:`ConstraintDriver` — the two stages a constraint plugs in.  The
+  built-in drivers (:class:`SkinnyConstraintDriver`,
+  :class:`PathConstraintDriver`, :class:`BoundedDiameterDriver`) are served
+  by :class:`repro.api.MiningEngine` through
+  :func:`repro.api.register_constraint`, which also runs any custom driver;
+  :class:`repro.core.skinnymine.SkinnyMine` drives the skinny one directly.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Hashable,
-    Iterable,
     List,
-    Mapping,
     Optional,
     Protocol,
     Sequence,
     Tuple,
-    Union,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from repro.index.store import PatternStore, StoreKey
-
-from repro.core.database import MiningContext, SupportMeasure
+from repro.core.database import MiningContext
 from repro.core.diameter import is_l_long_delta_skinny
 from repro.core.patterns import SkinnyPattern
 from repro.graph.canonical import canonical_key
@@ -250,10 +241,10 @@ def bounded_diameter_constraint(maximum: int) -> ConstraintPredicate:
 
 
 # --------------------------------------------------------------------- #
-# the generic two-stage driver
+# the constraint drivers
 # --------------------------------------------------------------------- #
 class ConstraintDriver(Protocol):
-    """What a constraint must provide to plug into :class:`DirectMiner`.
+    """What a constraint must provide to be served by :class:`repro.api.MiningEngine`.
 
     ``mine_minimal(context, parameter)`` returns the minimal
     constraint-satisfying patterns for one value of the constraint parameter
@@ -271,246 +262,28 @@ class ConstraintDriver(Protocol):
         ...
 
 
-class MinimalPatternIndex:
-    """The pre-computed index of minimal patterns keyed by constraint parameter.
-
-    Historically a plain in-memory dict; it is now a parameter-keyed view
-    over a pluggable :class:`repro.index.store.PatternStore` backend bound to
-    one ``(dataset fingerprint, constraint id)`` pair.  The default backend
-    is :class:`repro.index.store.MemoryPatternStore` (the old behaviour);
-    passing a :class:`repro.index.store.DiskPatternStore` makes the Stage-1
-    index survive the process — see :mod:`repro.service.mining` for the
-    request-serving front end built on top.
-    """
-
-    def __init__(
-        self,
-        backend: Optional["PatternStore"] = None,
-        fingerprint: str = "",
-        constraint_id: str = "generic",
-    ) -> None:
-        from repro.index.store import MemoryPatternStore
-
-        self._backend = backend if backend is not None else MemoryPatternStore()
-        self._fingerprint = fingerprint
-        self._constraint_id = constraint_id
-        # Parameters the portable codec cannot express (e.g. frozensets,
-        # custom hashables) are keyed through these two maps, preserving the
-        # historical any-Hashable API for in-process use.  The forward map is
-        # looked up by equality/hash, so two equal-but-distinct instances
-        # (whose reprs may differ, e.g. default object reprs) share one key.
-        # Caveat: these identities are in-process only — sharing unportable
-        # parameters across processes via a disk backend relies on repr being
-        # faithful (distinct parameters with identical reprs cannot be told
-        # apart by a reader that never saw the originals); use portable
-        # scalar/tuple/dict parameters for cross-process stores.
-        self._unportable_encoding: Dict[Hashable, str] = {}
-        self._unportable: Dict[str, Hashable] = {}
-
-    @property
-    def backend(self) -> "PatternStore":
-        return self._backend
-
-    def _key(self, parameter: Hashable) -> "StoreKey":
-        import json
-
-        from repro.index.store import StoreKey, encode_parameter
-
-        try:
-            encoded = encode_parameter(parameter)
-        except TypeError:
-            import warnings
-
-            warnings.warn(
-                "keying a MinimalPatternIndex by an unportable (repr-encoded) "
-                "parameter is deprecated; use scalar/tuple/dict parameters or "
-                "the Query API (repro.api) so entries stay portable across "
-                "processes",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            encoded = self._unportable_encoding.get(parameter)
-            if encoded is None:
-                encoded = json.dumps(
-                    {"__unportable__": repr(parameter)},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                if encoded in self._unportable:
-                    # Distinct parameters sharing a repr: disambiguate.
-                    encoded = json.dumps(
-                        {
-                            "__unportable__": repr(parameter),
-                            "__seq__": len(self._unportable),
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                self._unportable_encoding[parameter] = encoded
-                self._unportable[encoded] = parameter
-        return StoreKey(self._fingerprint, self._constraint_id, encoded)
-
-    def _parameter_of(self, key: "StoreKey") -> Hashable:
-        if key.parameter in self._unportable:
-            return self._unportable[key.parameter]
-        decoded = key.decoded_parameter()
-        if isinstance(decoded, dict):
-            if "__unportable__" in decoded and set(decoded) <= {"__unportable__", "__seq__"}:
-                # Written by another instance/process: the original object is
-                # unrecoverable; surface its repr (hashable) instead of a dict.
-                return decoded["__unportable__"]
-            # Portable dict parameters (e.g. the mining service's) are not
-            # hashable either; expose their canonical text form as the key.
-            return key.parameter
-        return decoded
-
-    def _own_keys(self) -> List["StoreKey"]:
-        return [
-            key
-            for key in self._backend.keys()
-            if key.fingerprint == self._fingerprint
-            and key.constraint_id == self._constraint_id
-        ]
-
-    def store(self, parameter: Hashable, patterns: List[object], seconds: float) -> None:
-        from repro.index.store import IndexEntry
-
-        self._backend.put(
-            IndexEntry(key=self._key(parameter), patterns=list(patterns), build_seconds=seconds)
-        )
-
-    def get(self, parameter: Hashable) -> Optional[List[object]]:
-        entry = self._backend.get(self._key(parameter))
-        return None if entry is None else entry.patterns
-
-    def build_seconds_for(self, parameter: Hashable) -> float:
-        entry = self._backend.get(self._key(parameter))
-        return 0.0 if entry is None else entry.build_seconds
-
-    @property
-    def entries(self) -> Mapping[Hashable, List[object]]:
-        """Read-only view: parameter → patterns for this index's entries.
-
-        Formerly a mutable dict field; writes must now go through
-        :meth:`store` (mutating this view raises ``TypeError``).
-        """
-        result: Dict[Hashable, List[object]] = {}
-        for key in self._own_keys():
-            entry = self._backend.get(key)
-            if entry is not None:
-                result[self._parameter_of(key)] = entry.patterns
-        return MappingProxyType(result)
-
-    @property
-    def build_seconds(self) -> Mapping[Hashable, float]:
-        """Read-only view: parameter → Stage-1 build time."""
-        result: Dict[Hashable, float] = {}
-        for key in self._own_keys():
-            entry = self._backend.get(key)
-            if entry is not None:
-                result[self._parameter_of(key)] = entry.build_seconds
-        return MappingProxyType(result)
-
-    def parameters(self) -> List[Hashable]:
-        return sorted((self._parameter_of(key) for key in self._own_keys()), key=str)
-
-    def __len__(self) -> int:
-        return len(self._own_keys())
-
-
-@dataclass
-class DirectMiningReport:
-    """Stage break-down for a generic direct-mining request."""
-
-    parameter: Hashable
-    stage_one_seconds: float
-    stage_two_seconds: float
-    num_minimal_patterns: int
-    num_patterns: int
-    served_from_index: bool
-
-
-class DirectMiner:
-    """Generic two-stage direct miner (Figure 2)."""
-
-    def __init__(
-        self,
-        graphs: Union[LabeledGraph, Sequence[LabeledGraph]],
-        min_support: int,
-        driver: ConstraintDriver,
-        support_measure: Optional[SupportMeasure] = None,
-        store: Optional["PatternStore"] = None,
-        constraint_id: str = "generic",
-    ) -> None:
-        self._context = MiningContext(graphs, min_support, support_measure)
-        self._driver = driver
-        self._index = MinimalPatternIndex(
-            backend=store,
-            fingerprint=self._context.fingerprint(),
-            constraint_id=constraint_id,
-        )
-        self.last_report: Optional[DirectMiningReport] = None
-
-    @property
-    def index(self) -> MinimalPatternIndex:
-        return self._index
-
-    def precompute(self, parameters: Iterable[Hashable]) -> MinimalPatternIndex:
-        """Stage 1 for a batch of parameters; results go into the index."""
-        for parameter in parameters:
-            if self._index.get(parameter) is not None:
-                continue
-            started = time.perf_counter()
-            minimal = self._driver.mine_minimal(self._context, parameter)
-            self._index.store(parameter, minimal, time.perf_counter() - started)
-        return self._index
-
-    def mine(self, parameter: Hashable) -> List[SkinnyPattern]:
-        """Serve one mining request: fetch (or compute) minimal patterns, grow each."""
-        served_from_index = self._index.get(parameter) is not None
-        started = time.perf_counter()
-        if not served_from_index:
-            self.precompute([parameter])
-        minimal_patterns = self._index.get(parameter) or []
-        stage_one_seconds = (
-            self._index.build_seconds_for(parameter)
-            if served_from_index
-            else time.perf_counter() - started
-        )
-
-        started = time.perf_counter()
-        results: List[SkinnyPattern] = []
-        for minimal in minimal_patterns:
-            results.extend(self._driver.grow(self._context, minimal, parameter))
-        stage_two_seconds = time.perf_counter() - started
-
-        self.last_report = DirectMiningReport(
-            parameter=parameter,
-            stage_one_seconds=stage_one_seconds,
-            stage_two_seconds=stage_two_seconds,
-            num_minimal_patterns=len(minimal_patterns),
-            num_patterns=len(results),
-            served_from_index=served_from_index,
-        )
-        return results
-
-
 class SkinnyConstraintDriver:
-    """Adapter plugging SkinnyMine's two stages into :class:`DirectMiner`.
+    """SkinnyMine's two stages as a :class:`ConstraintDriver`.
 
     The constraint parameter is the pair ``(length, delta)``; minimal patterns
     are the frequent length-``l`` paths, mined under the Stage-1 exactness
     mode (:class:`repro.core.diammine.Stage1Mode`; exact by default).
+    :meth:`grow` is the one skinny cluster-growth loop: the engine, the CLI,
+    the serving tier and :class:`repro.core.skinnymine.SkinnyMine` all grow
+    through it.
 
-    The engine builds one driver per query, so the driver instance is the
-    per-request scope: ``statistics`` accumulates the LevelGrow counters
-    (including the emission-fast-path ones — ``canonical_incremental_hits``,
-    ``invariant_cache_hits``, ``probes_batched``) across every cluster of
-    the request.  ``descriptor_cache`` defaults to a fresh per-driver cache
-    shared across the request's clusters; long-lived callers (the engine)
+    A driver instance is the per-request scope: ``statistics`` accumulates
+    the LevelGrow counters (including the emission-fast-path ones —
+    ``canonical_incremental_hits``, ``invariant_cache_hits``,
+    ``probes_batched``) across every cluster of the request.
+    ``descriptor_cache`` defaults to a fresh per-driver cache shared across
+    the request's clusters; long-lived callers (the engine, SkinnyMine)
     inject their own instance so Loop-Invariant descriptors survive across
     requests — sound, because a descriptor is a pure function of the
     abstract pattern, independent of the data, threshold or measure.
+
+    ``closed_only`` and ``maximal_only`` are SkinnyMine's cluster-local
+    output filters (see :meth:`repro.core.skinnymine.SkinnyMine.mine`).
     """
 
     def __init__(
@@ -519,6 +292,8 @@ class SkinnyConstraintDriver:
         max_patterns_per_diameter: Optional[int] = None,
         include_minimal: bool = True,
         stage1_mode: Optional[object] = None,
+        closed_only: bool = False,
+        maximal_only: bool = False,
     ) -> None:
         from repro.core.levelgrow import DiameterDescriptorCache, LevelGrowStatistics
 
@@ -526,6 +301,8 @@ class SkinnyConstraintDriver:
         self._max_patterns_per_diameter = max_patterns_per_diameter
         self._include_minimal = include_minimal
         self._stage1_mode = stage1_mode
+        self._closed_only = closed_only
+        self._maximal_only = maximal_only
         self.descriptor_cache = DiameterDescriptorCache()
         self.statistics = LevelGrowStatistics()
         # Injected by the engine (hasattr protocol, like descriptor_cache);
@@ -556,14 +333,17 @@ class SkinnyConstraintDriver:
             context,
             max_patterns=self._max_patterns_per_diameter,
             descriptor_cache=self.descriptor_cache,
+            # The child counters feed only the closed/maximal filters; with
+            # both off the grower's duplicate fast path may skip the
+            # re-derivation's embedding join outright.
+            child_accounting=self._closed_only or self._maximal_only,
         )
         root = initial_state_from_path(minimal)
         grower.register(root)
-        results: List[SkinnyPattern] = []
-        if self._include_minimal:
-            results.append(root.to_pattern())
-        # Constraint-pending intermediates ride the frontier (a later level
-        # can repair them) but are never reported — mirrors SkinnyMine.
+        collected = [root] if self._include_minimal else []
+        # The frontier carries both reportable states and constraint-pending
+        # intermediates (Constraint-I violations a later level's edges can
+        # still repair); only the former are ever collected.
         frontier = [root]
         for level in range(1, delta + 1):
             with self.tracer.span("stage2.level", level=level) as span:
@@ -572,13 +352,19 @@ class SkinnyConstraintDriver:
                     growth = grower.grow_level_full(state, level, max_level=delta)
                     next_frontier.extend(growth.emitted)
                     next_frontier.extend(growth.pending)
-                    results.extend(grown.to_pattern() for grown in growth.emitted)
+                    collected.extend(growth.emitted)
                 span.annotate(frontier=len(frontier), grown=len(next_frontier))
             if not next_frontier:
                 break
             frontier = next_frontier
         self.statistics.merge(grower.statistics)
-        return results
+        # Child counters are final only once the cluster stops growing.
+        return [
+            state.to_pattern()
+            for state in collected
+            if not (self._maximal_only and state.accepted_children)
+            and not (self._closed_only and state.equal_support_children)
+        ]
 
 
 class PathConstraintDriver:

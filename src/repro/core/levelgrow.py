@@ -564,8 +564,8 @@ class LevelGrower:
         # Memoised pendant-probe verdicts (see _pendant_probe_viable).
         self._probe_cache: Dict[Tuple, bool] = {}
         # Loop-Invariant verdicts are derived from memoised diameter
-        # descriptors; the caller (SkinnyMine, the constraint drivers) passes
-        # one cache shared across its clusters so a candidate generated in
+        # descriptors; the caller (the skinny constraint driver) passes one
+        # cache shared across its clusters so a candidate generated in
         # several clusters verifies once.
         self._descriptor_cache = (
             descriptor_cache if descriptor_cache is not None else DiameterDescriptorCache()

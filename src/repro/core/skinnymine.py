@@ -1,6 +1,8 @@
 """SkinnyMine — the full (l, δ)-SPM miner (Algorithm 1) plus the diameter index.
 
-``SkinnyMine`` wires together the two stages:
+``SkinnyMine`` runs the two stages through
+:class:`repro.core.framework.SkinnyConstraintDriver`, the driver
+:class:`repro.api.MiningEngine` serves skinny queries with:
 
 * Stage I: :class:`repro.core.diammine.DiamMine` mines every frequent simple
   path of length ``l`` (the canonical diameters / minimal
@@ -27,19 +29,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.database import MiningContext, SupportMeasure
 from repro.core.diameter import is_l_long_delta_skinny
-from repro.core.diammine import DiamMine, Stage1Mode
-from repro.core.levelgrow import (
-    DiameterDescriptorCache,
-    LevelGrower,
-    LevelGrowStatistics,
-)
-from repro.core.patterns import (
-    GrowthState,
-    PathPattern,
-    SkinnyPattern,
-    initial_state_from_path,
-)
-from repro.graph.embeddings import row_storage_mode
+from repro.core.diammine import Stage1Mode, resolve_stage1_mode
+from repro.core.framework import SkinnyConstraintDriver
+from repro.core.levelgrow import DiameterDescriptorCache, LevelGrowStatistics
+from repro.core.patterns import PathPattern, SkinnyPattern
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -54,10 +47,6 @@ class MiningReport:
     levelgrow_seconds: float = 0.0
     num_diameters: int = 0
     num_patterns: int = 0
-    # Which EmbeddingTable storage served the request ("array" interned
-    # arenas vs "tuple" rows) — recorded so bench ledger entries and bug
-    # reports can attest the data-plane configuration they measured.
-    row_storage: str = "array"
     level_statistics: LevelGrowStatistics = field(default_factory=LevelGrowStatistics)
 
     @property
@@ -124,13 +113,8 @@ class SkinnyMine:
     ) -> None:
         self._context = MiningContext(graphs, min_support, support_measure)
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._diammine = DiamMine(
-            self._context,
-            max_paths_per_length=max_paths_per_length,
-            mode=stage1_mode,
-            prune_intermediate=prune_intermediate,
-            tracer=self._tracer,
-        )
+        self._stage1_mode = resolve_stage1_mode(stage1_mode, prune_intermediate)
+        self._max_paths_per_length = max_paths_per_length
         self._max_patterns_per_diameter = max_patterns_per_diameter
         self._diameter_index: Dict[int, List[PathPattern]] = {}
         # Shared across clusters and requests: Loop-Invariant verdicts are a
@@ -150,7 +134,28 @@ class SkinnyMine:
     @property
     def stage1_mode(self) -> Stage1Mode:
         """The resolved Stage-1 exactness mode (see :class:`Stage1Mode`)."""
-        return self._diammine.mode
+        return self._stage1_mode
+
+    def _driver(
+        self,
+        include_minimal: bool = True,
+        closed_only: bool = False,
+        maximal_only: bool = False,
+    ) -> SkinnyConstraintDriver:
+        """A per-request driver, with the descriptor cache and tracer injected
+        the way :class:`repro.api.MiningEngine` injects them.
+        """
+        driver = SkinnyConstraintDriver(
+            max_paths_per_length=self._max_paths_per_length,
+            max_patterns_per_diameter=self._max_patterns_per_diameter,
+            include_minimal=include_minimal,
+            stage1_mode=self._stage1_mode,
+            closed_only=closed_only,
+            maximal_only=maximal_only,
+        )
+        driver.descriptor_cache = self._descriptor_cache
+        driver.tracer = self._tracer
+        return driver
 
     def precompute(self, lengths: Iterable[int]) -> Dict[int, int]:
         """Pre-compute and index canonical diameters for several lengths.
@@ -158,12 +163,7 @@ class SkinnyMine:
         Returns ``length -> number of frequent diameters`` for reporting.
         Subsequent :meth:`mine` calls with an indexed length skip Stage I.
         """
-        counts: Dict[int, int] = {}
-        for length in sorted(set(lengths)):
-            if length not in self._diameter_index:
-                self._diameter_index[length] = self._diammine.mine(length)
-            counts[length] = len(self._diameter_index[length])
-        return counts
+        return {length: len(self.diameters_for(length)) for length in sorted(set(lengths))}
 
     def indexed_lengths(self) -> List[int]:
         return sorted(self._diameter_index)
@@ -171,7 +171,9 @@ class SkinnyMine:
     def diameters_for(self, length: int) -> List[PathPattern]:
         """The canonical diameters (frequent length-``l`` paths) for one request."""
         if length not in self._diameter_index:
-            self._diameter_index[length] = self._diammine.mine(length)
+            self._diameter_index[length] = self._driver().mine_minimal(
+                self._context, (length, 0)
+            )
         return self._diameter_index[length]
 
     # ------------------------------------------------------------------ #
@@ -211,8 +213,10 @@ class SkinnyMine:
         if delta < 0:
             raise ValueError("delta must be non-negative")
 
+        # One driver per request: its counters are this request's alone.
+        driver = self._driver(include_minimal, closed_only, maximal_only)
         report = MiningReport(
-            length=length, delta=delta, row_storage=row_storage_mode()
+            length=length, delta=delta, level_statistics=driver.statistics
         )
         started = time.perf_counter()
         with self._tracer.span("stage1", length=length) as span:
@@ -225,19 +229,7 @@ class SkinnyMine:
         started = time.perf_counter()
         with self._tracer.span("stage2", length=length, delta=delta) as span:
             for path in diameters:
-                # Each cluster merges its LevelGrow statistics into *this*
-                # request's report (it used to merge into the previous
-                # request's last_report, leaving the counters permanently
-                # zeroed).
-                cluster_results = self._grow_cluster(
-                    path,
-                    delta,
-                    include_minimal,
-                    report=report,
-                    closed_only=closed_only,
-                    maximal_only=maximal_only,
-                )
-                results.extend(cluster_results)
+                results.extend(driver.grow(self._context, path, (length, delta)))
             span.annotate(patterns=len(results))
             # The emission phases are accumulated inline per candidate (too
             # hot for a span each); attach them as pre-timed aggregates.
@@ -274,58 +266,6 @@ class SkinnyMine:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _grow_cluster(
-        self,
-        path: PathPattern,
-        delta: int,
-        include_minimal: bool,
-        report: Optional[MiningReport] = None,
-        closed_only: bool = False,
-        maximal_only: bool = False,
-    ) -> List[SkinnyPattern]:
-        grower = LevelGrower(
-            self._context,
-            max_patterns=self._max_patterns_per_diameter,
-            descriptor_cache=self._descriptor_cache,
-            # The child counters feed only these two filters; with both off
-            # the grower's duplicate fast path may skip the re-derivation's
-            # embedding join outright.
-            child_accounting=closed_only or maximal_only,
-        )
-        root = initial_state_from_path(path)
-        grower.register(root)
-        collected: List[tuple[GrowthState, bool]] = [(root, include_minimal)]
-
-        # The frontier carries both reportable states and constraint-pending
-        # intermediates (Constraint-I violations a later level's edges can
-        # still repair); only the former are ever collected.
-        frontier: List[GrowthState] = [root]
-        for level in range(1, delta + 1):
-            with self._tracer.span("stage2.level", level=level) as span:
-                next_frontier: List[GrowthState] = []
-                for state in frontier:
-                    growth = grower.grow_level_full(state, level, max_level=delta)
-                    next_frontier.extend(growth.emitted)
-                    next_frontier.extend(growth.pending)
-                    collected.extend((grown, True) for grown in growth.emitted)
-                span.annotate(frontier=len(frontier), grown=len(next_frontier))
-            if not next_frontier:
-                break
-            frontier = next_frontier
-        if report is not None:
-            report.level_statistics.merge(grower.statistics)
-
-        cluster: List[SkinnyPattern] = []
-        for state, reportable in collected:
-            if not reportable:
-                continue
-            if maximal_only and state.accepted_children > 0:
-                continue
-            if closed_only and state.equal_support_children > 0:
-                continue
-            cluster.append(state.to_pattern())
-        return cluster
-
     def _validate(
         self, patterns: Sequence[SkinnyPattern], length: int, delta: int
     ) -> None:
@@ -338,15 +278,3 @@ class SkinnyMine:
                 raise AssertionError(
                     f"mined pattern violates the support threshold: {pattern!r}"
                 )
-
-
-def mine_skinny_patterns(
-    graphs: Union[LabeledGraph, Sequence[LabeledGraph]],
-    length: int,
-    delta: int,
-    min_support: int,
-    **kwargs,
-) -> List[SkinnyPattern]:
-    """One-shot functional façade over :class:`SkinnyMine`."""
-    miner = SkinnyMine(graphs, min_support=min_support, **kwargs)
-    return miner.mine(length, delta)

@@ -18,7 +18,6 @@ place of per-embedding dict juggling.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -218,68 +217,24 @@ def _interned_layout(
     return layout
 
 
-# --------------------------------------------------------------------- #
-# row storage mode
-# --------------------------------------------------------------------- #
-#: How newly constructed tables store their occurrence rows.
-#:
-#: ``"array"`` (the default) packs the row data of each table into one flat
-#: signed-64-bit arena (``array('q')``) — one machine word per mapped data
-#: vertex, row-major, position-aligned with ``columns`` — plus a second
-#: arena holding each row's sorted image key.  Derivations (:meth:`
-#: EmbeddingTable.extended` / :meth:`EmbeddingTable.subset`) then append
-#: integer codes and slice arenas; per-row Python tuples exist only for
-#: tables something actually iterates, materialised lazily through the
-#: ``rows`` property and cached.  ``"tuple"`` keeps the historical eager
-#: ``List[Tuple[VertexId, ...]]`` representation.  Derived tables always
-#: inherit their parent's storage, so toggling the mode mid-run never mixes
-#: representations inside one derivation chain.  Tables whose data vertices
-#: are not machine-word integers silently fall back to tuple storage.
-_ROW_STORAGE_MODES = ("tuple", "array")
-
-
-def _initial_row_storage() -> str:
-    mode = os.environ.get("REPRO_ROW_STORAGE", "array")
-    return mode if mode in _ROW_STORAGE_MODES else "array"
-
-
-_row_storage = _initial_row_storage()
-
-
-def set_row_storage(mode: str) -> str:
-    """Select the storage for newly built tables; returns the previous mode.
-
-    >>> previous = set_row_storage("tuple")
-    >>> row_storage_mode()
-    'tuple'
-    >>> _ = set_row_storage(previous)
-    """
-    global _row_storage
-    if mode not in _ROW_STORAGE_MODES:
-        raise ValueError(
-            f"unknown row storage mode {mode!r}; expected one of {_ROW_STORAGE_MODES}"
-        )
-    previous = _row_storage
-    _row_storage = mode
-    return previous
-
-
-def row_storage_mode() -> str:
-    """The storage mode newly constructed tables will use."""
-    return _row_storage
-
-
 class EmbeddingTable:
     """All embeddings of one pattern, stored column-major without dicts.
 
     ``columns`` names the pattern vertices in a fixed order; each occurrence
     is one ``rows`` entry — a tuple of data vertices, position-aligned with
-    ``columns`` — tagged with the transaction index in ``graph_ids``.  Under
-    the default ``"array"`` storage (:func:`set_row_storage`) the row data
-    actually lives in one flat signed-64-bit arena per table, with the
-    ``rows`` tuples materialised lazily on first access; ``"tuple"`` storage
-    keeps the eager per-row tuples.  Compared to a ``List[Embedding]`` this
-    representation
+    ``columns`` — tagged with the transaction index in ``graph_ids``.
+
+    The row data lives in one flat signed-64-bit arena per table
+    (``array('q')``: one machine word per mapped data vertex, row-major)
+    plus a second arena holding each row's sorted image key.  Derivations
+    (:meth:`extended` / :meth:`subset`) append integer codes and slice
+    arenas; the ``rows`` tuples are materialised lazily on first access and
+    cached.  Tables whose data vertices are not machine-word integers keep
+    eager per-row tuples instead (``storage_mode() == "tuple"``), as does a
+    table whose ``rows`` are assigned.  Derived tables inherit their
+    parent's storage, so the tuple path also serves as the reference the
+    arena's differential tests compare against.  Compared to a
+    ``List[Embedding]`` this representation
 
     * extends by **joining**: a new-vertex extension appends one column and
       materialises rows from recorded ``(row, data vertex)`` join pairs; an
@@ -345,15 +300,14 @@ class EmbeddingTable:
         self._rows: Optional[List[Tuple[VertexId, ...]]] = row_list
         self._arena: Optional[array] = None
         self._key_arena: Optional[array] = None
-        if _row_storage == "array":
-            arena = array("q")
-            try:
-                for row in row_list:
-                    arena.extend(row)
-            except (TypeError, OverflowError):
-                pass  # non-machine-word vertex ids: stay on tuple storage
-            else:
-                self._arena = arena
+        arena = array("q")
+        try:
+            for row in row_list:
+                arena.extend(row)
+        except (TypeError, OverflowError):
+            pass  # non-machine-word vertex ids: stay on tuple storage
+        else:
+            self._arena = arena
         self._row_keys: Optional[List[Tuple[VertexId, ...]]] = None
         self._embedding_support: Optional[int] = None
         self._transaction_support: Optional[int] = None
@@ -514,15 +468,6 @@ class EmbeddingTable:
                 keys = [tuple(sorted(row)) for row in self.rows]
             self._row_keys = keys
         return keys
-
-    def image_keys(self) -> Set[Tuple[int, Tuple[VertexId, ...]]]:
-        """Distinct occurrence keys: (transaction, sorted data-vertex tuple).
-
-        Sorted tuples replace the historical per-embedding ``frozenset``
-        images: embeddings are injective, so the sorted tuple is a canonical
-        form of the image set and hashes faster than building a frozenset.
-        """
-        return set(zip(self.graph_ids, self.row_keys()))
 
     def prefixes(self, width: int) -> List[Tuple[VertexId, ...]]:
         """Per-row ``row[:width]`` tuples, computed once and cached.
@@ -692,9 +637,9 @@ class EmbeddingTable:
 
         Counted by a merge-style scan over the sorted ``(transaction, image
         key)`` pairs — adjacent-distinct boundaries after one sort — instead
-        of hashing every row key into a set (:meth:`image_keys` remains as
-        the hashing reference path, pinned against this counter by the
-        differential tests).  Row keys are per-row sorted tuples, so the
+        of hashing every row key into a set (the hashing reference lives in
+        the differential tests, pinned against this counter).  Row keys are
+        per-row sorted tuples, so the
         lexicographic pair order groups duplicate occurrences adjacently and
         the scan is exact.  Under arena storage the image keys are compared
         as fixed-stride byte slices of the flat key arena — no per-row tuple

@@ -558,7 +558,7 @@ class DiskPatternStore(PatternStore):
     # -------------------------------------------------------------- #
     def _path_for(self, key: StoreKey) -> Path:
         param_digest = hashlib.sha256(key.parameter.encode("utf-8")).hexdigest()[:24]
-        # An empty fingerprint (allowed by MinimalPatternIndex's default) or a
+        # An empty fingerprint (StoreKey does not forbid one) or a
         # path-hostile one must still occupy exactly one directory level, or
         # keys()/info() globbing would miss the entry.
         fingerprint_dir = quote(key.fingerprint, safe="-_.") or "_no-fingerprint"

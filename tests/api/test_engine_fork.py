@@ -27,6 +27,22 @@ class TestStageOneKey:
         engine.run(QUERY)
         assert key in engine.store
 
+    def test_skinny_key_ignores_delta_and_top_k(self, engine):
+        # Stage 1 mines the length-l paths: δ and top-k only shape Stage 2
+        # and the answer, so they share one store entry.
+        key = engine.stage_one_key(
+            Query("skinny", {"length": 3, "delta": 1}, min_support=2, top_k=3)
+        )
+        assert key == engine.stage_one_key(
+            Query("skinny", {"length": 3, "delta": 2}, min_support=2)
+        )
+        assert key != engine.stage_one_key(
+            Query("skinny", {"length": 4, "delta": 1}, min_support=2)
+        )
+        assert key != engine.stage_one_key(
+            Query("skinny", {"length": 3, "delta": 1}, min_support=3)
+        )
+
     def test_unknown_constraint_raises_typed_error(self, engine):
         with pytest.raises(UnknownConstraintError):
             engine.stage_one_key(Query("nope", {}, min_support=2))

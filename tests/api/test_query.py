@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.api import (
@@ -16,8 +14,8 @@ from repro.api import (
     QueryError,
     UnexpectedParameterError,
     UnknownConstraintError,
-    query_from_payload,
 )
+from repro.core.database import SupportMeasure
 
 
 class TestQueryValidation:
@@ -77,8 +75,19 @@ class TestQueryValidation:
         ):
             assert issubclass(exc, ValueError)
 
+    def test_measure_enum_accepted(self):
+        query = Query(
+            "skinny", {"length": 2, "delta": 0}, min_support=1,
+            support_measure=SupportMeasure.MNI,
+        )
+        assert query.support_measure == "mni"
+        assert query.measure is SupportMeasure.MNI
+        assert query == Query(
+            "skinny", {"length": 2, "delta": 0}, min_support=1, support_measure="mni"
+        )
+
     def test_query_is_hashable_and_immutable(self):
-        # MineRequest was a hashable frozen value object; Query must be too.
+        # A Query is a hashable frozen value object.
         a = Query("skinny", {"length": 5, "delta": 1}, min_support=2)
         b = Query("skinny", {"delta": 1, "length": 5}, min_support=2)
         assert hash(a) == hash(b)
@@ -126,6 +135,20 @@ class TestQuerySerialization:
             Query.from_dict({"params": {"length": 3}})
         assert "constraint" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"length": 4, "delta": 1, "min_support": 3},
+            {"length": 4, "delta": 1, "sigma": 3},
+            {"lengths": [4, 5], "delta": 1},
+        ],
+        ids=["skinny-fields", "sigma-alias", "length-list"],
+    )
+    def test_from_dict_rejects_pre_envelope_payloads(self, payload):
+        # Payloads without a constraint id are not guessed to be skinny.
+        with pytest.raises(MalformedQueryError, match="'constraint' field"):
+            Query.from_dict(payload)
+
     def test_from_dict_rejects_stray_fields(self):
         with pytest.raises(MalformedQueryError) as excinfo:
             Query.from_dict({"constraint": "skinny", "length": 3, "delta": 1})
@@ -142,29 +165,3 @@ class TestQuerySerialization:
             {"constraint": "path", "params": {"length": 3}, "sigma": 4}
         )
         assert query.min_support == 4
-
-
-class TestQueryFromPayload:
-    def test_new_format_passes_through(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # must not warn
-            query = query_from_payload(
-                {"constraint": "skinny", "params": {"length": 4, "delta": 1}}
-            )
-        assert query.constraint_id == "skinny"
-
-    def test_legacy_format_converts_with_deprecation(self):
-        with pytest.deprecated_call():
-            query = query_from_payload({"length": 4, "delta": 1, "min_support": 3})
-        assert query == Query("skinny", {"length": 4, "delta": 1}, min_support=3)
-
-    def test_legacy_sigma_alias(self):
-        with pytest.deprecated_call():
-            query = query_from_payload({"length": 4, "delta": 1, "sigma": 3})
-        assert query.min_support == 3
-
-    def test_unrecognisable_payload(self):
-        with pytest.raises(MalformedQueryError):
-            query_from_payload({"lengths": [4]})
-        with pytest.raises(MalformedQueryError):
-            query_from_payload("not an object")

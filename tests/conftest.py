@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.graph.embeddings import EmbeddingTable
 from repro.graph.labeled_graph import LabeledGraph, build_graph
 
 try:
@@ -93,3 +94,62 @@ def two_triangles_graph() -> LabeledGraph:
         {0: "a", 1: "b", 2: "c", 3: "a", 4: "b", 5: "c"},
         [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
     )
+
+
+class TupleStorage:
+    """Tuple-row storage for :class:`EmbeddingTable`, the arena's reference.
+
+    :meth:`table` moves a root table onto eager per-row tuples by assigning
+    its rows through the ``rows`` setter; every table derived from it
+    inherits that storage.  :meth:`mining` does the same to every root
+    table a mining run builds, by wrapping
+    ``EmbeddingTable.from_path_occurrences``, and returns the list of
+    tables it converted.
+    """
+
+    @staticmethod
+    def table(table: EmbeddingTable) -> EmbeddingTable:
+        table.rows = table.rows
+        assert table.storage_mode() == "tuple"
+        return table
+
+    def mining(self, monkeypatch) -> list:
+        build = EmbeddingTable.from_path_occurrences
+        converted = []
+
+        def tuple_backed(occurrences, length):
+            table = self.table(build(occurrences, length))
+            converted.append(table)
+            return table
+
+        monkeypatch.setattr(
+            EmbeddingTable, "from_path_occurrences", staticmethod(tuple_backed)
+        )
+        return converted
+
+
+@pytest.fixture(scope="session")
+def tuple_storage() -> TupleStorage:
+    """The tuple-row reference storage (session-scoped, so hypothesis tests can use it)."""
+    return TupleStorage()
+
+
+@pytest.fixture
+def child_accounting_flags(monkeypatch) -> list:
+    """The ``child_accounting`` flag of every ``LevelGrower`` built in the test.
+
+    ``SkinnyConstraintDriver.grow`` builds one grower per cluster, so the
+    list has one entry per grown cluster, in growth order.
+    """
+    import repro.core.levelgrow as levelgrow
+
+    flags = []
+    original = levelgrow.LevelGrower
+
+    class RecordingGrower(original):
+        def __init__(self, *args, child_accounting=True, **kwargs):
+            flags.append(child_accounting)
+            super().__init__(*args, child_accounting=child_accounting, **kwargs)
+
+    monkeypatch.setattr(levelgrow, "LevelGrower", RecordingGrower)
+    return flags

@@ -32,7 +32,6 @@ from repro.core.levelgrow import DiameterDescriptorCache, diameter_descriptor
 from repro.core.reference import enumerate_and_check_spm
 from repro.core.skinnymine import SkinnyMine
 from repro.graph.canonical import canonical_key
-from repro.graph.embeddings import set_row_storage
 from repro.graph.generators import (
     erdos_renyi_graph,
     inject_pattern,
@@ -165,10 +164,11 @@ class TestFastPathParity:
 
 
 class TestRowStorageParity:
-    """ISSUE-9: interned (arena) rows must be observably identical to tuples.
+    """Interned (arena) rows must be observably identical to tuple rows.
 
-    Every scenario is mined under both :func:`set_row_storage` modes and
-    compared by full raw serialisation — the flat-arena join, subset
+    Every scenario is mined on the default arena storage and again with
+    every root table moved onto tuple rows (the ``tuple_storage`` helper),
+    and compared by full raw serialisation — the flat-arena join, subset
     slicing and merge-scan support counting must never change a pattern,
     support value or embedding.
     """
@@ -177,20 +177,18 @@ class TestRowStorageParity:
         "kind, seed, params, length, delta, sigma, measure", SCENARIOS
     )
     def test_array_and_tuple_storage_mine_identically(
-        self, kind, seed, params, length, delta, sigma, measure
+        self, monkeypatch, tuple_storage, kind, seed, params, length, delta, sigma, measure
     ):
         graphs = build_scenario(kind, seed, params)
-        previous = set_row_storage("array")
-        try:
-            interned = SkinnyMine(
-                graphs, min_support=sigma, support_measure=measure
-            ).mine(length, delta)
-            set_row_storage("tuple")
+        interned = SkinnyMine(
+            graphs, min_support=sigma, support_measure=measure
+        ).mine(length, delta)
+        with monkeypatch.context() as context:
+            converted = tuple_storage.mining(context)
             tupled = SkinnyMine(
                 graphs, min_support=sigma, support_measure=measure
             ).mine(length, delta)
-        finally:
-            set_row_storage(previous)
+        assert converted or not interned
         assert serialised(interned) == serialised(tupled)
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
+from repro.core.database import MiningContext
 from repro.core.framework import (
-    DirectMiner,
     SkinnyConstraintDriver,
     check_continuity,
     check_reducibility,
@@ -14,8 +17,9 @@ from repro.core.framework import (
     skinny_constraint,
     uniform_degree_constraint,
 )
+from repro.core.levelgrow import DiameterDescriptorCache, LevelGrowStatistics
 from repro.graph.generators import erdos_renyi_graph, inject_pattern, random_skinny_pattern
-from repro.graph.labeled_graph import build_graph, graph_from_paths
+from repro.graph.labeled_graph import build_graph
 
 
 def pattern_universe():
@@ -102,115 +106,82 @@ class TestContinuity:
         assert check_continuity(predicate, universe, minimal).continuous
 
 
-class TestDirectMiner:
-    def build_data(self):
+class TestSkinnyConstraintDriver:
+    """The one skinny cluster-growth loop, driven cluster by cluster."""
+
+    @pytest.fixture(scope="class")
+    def context(self):
         background = erdos_renyi_graph(120, 1.4, 25, seed=41)
         pattern = random_skinny_pattern(5, 1, 8, 25, seed=43)
         inject_pattern(background, pattern, copies=3, seed=47)
-        return background, pattern
+        return MiningContext(background, 2)
 
-    def test_skinny_driver_equivalent_to_skinnymine(self):
-        from repro.core import SkinnyMine
+    @staticmethod
+    def grow_all(driver, context, parameter):
+        return [
+            pattern
+            for path in driver.mine_minimal(context, parameter)
+            for pattern in driver.grow(context, path, parameter)
+        ]
 
-        background, _ = self.build_data()
-        driver_results = DirectMiner(
-            background, min_support=2, driver=SkinnyConstraintDriver()
-        ).mine((5, 1))
-        skinnymine_results = SkinnyMine(background, min_support=2).mine(5, 1)
-        assert {p.canonical_form() for p in driver_results} == {
-            p.canonical_form() for p in skinnymine_results
+    @pytest.mark.parametrize(
+        "closed_only, maximal_only, accounting",
+        [(False, False, False), (True, False, True), (False, True, True), (True, True, True)],
+    )
+    def test_child_accounting_follows_the_filters(
+        self, context, child_accounting_flags, closed_only, maximal_only, accounting
+    ):
+        driver = SkinnyConstraintDriver(closed_only=closed_only, maximal_only=maximal_only)
+        clusters = driver.mine_minimal(context, (4, 1))
+        for path in clusters:
+            driver.grow(context, path, (4, 1))
+        assert child_accounting_flags == [accounting] * len(clusters)
+
+    @pytest.mark.parametrize("include_minimal", [True, False])
+    def test_delta_zero_returns_only_the_root(self, context, include_minimal):
+        driver = SkinnyConstraintDriver(include_minimal=include_minimal)
+        clusters = driver.mine_minimal(context, (4, 0))
+        assert clusters
+        for path in clusters:
+            grown = driver.grow(context, path, (4, 0))
+            if include_minimal:
+                (root,) = grown
+                assert root.num_edges == 4
+                assert root.support == path.support
+            else:
+                assert grown == []
+        assert driver.statistics.candidates_generated == 0
+
+    def test_statistics_merge_over_clusters(self, context):
+        # One driver is one request: its counters are the sum of its clusters'.
+        # The per-cluster drivers share one descriptor cache, as the request's
+        # clusters do, so the cache-hit counter adds up too.
+        request = SkinnyConstraintDriver()
+        clusters = request.mine_minimal(context, (4, 2))
+        grown = self.grow_all(request, context, (4, 2))
+        cache = DiameterDescriptorCache()
+        total = LevelGrowStatistics()
+        for path in clusters:
+            single = SkinnyConstraintDriver()
+            single.descriptor_cache = cache
+            single.grow(context, path, (4, 2))
+            total.merge(single.statistics)
+        counters = [f.name for f in dataclasses.fields(LevelGrowStatistics) if f.type == "int"]
+        assert counters
+        assert {name: getattr(request.statistics, name) for name in counters} == {
+            name: getattr(total, name) for name in counters
         }
+        assert request.statistics.patterns_emitted == len(grown) - len(clusters)
 
-    def test_precompute_and_index_reuse(self):
-        background, _ = self.build_data()
-        miner = DirectMiner(background, min_support=2, driver=SkinnyConstraintDriver())
-        miner.precompute([(5, 1), (4, 1)])
-        assert len(miner.index) == 2
-        results = miner.mine((5, 1))
-        assert miner.last_report is not None
-        assert miner.last_report.served_from_index
-        assert miner.last_report.num_patterns == len(results)
+    @pytest.mark.parametrize("parameter", [(3, 1), (4, 2)])
+    def test_maximal_within_closed_within_all(self, context, parameter):
+        def forms(**filters):
+            driver = SkinnyConstraintDriver(**filters)
+            return Counter(p.canonical_form() for p in self.grow_all(driver, context, parameter))
 
-    def test_report_when_not_precomputed(self):
-        background, _ = self.build_data()
-        miner = DirectMiner(background, min_support=2, driver=SkinnyConstraintDriver())
-        miner.mine((5, 1))
-        assert not miner.last_report.served_from_index
-        assert miner.last_report.num_minimal_patterns >= 1
-
-    def test_minimal_pattern_index_api(self):
-        from repro.core.framework import MinimalPatternIndex
-
-        index = MinimalPatternIndex()
-        index.store("k", ["x"], 0.5)
-        assert index.get("k") == ["x"]
-        assert index.get("missing") is None
-        assert index.parameters() == ["k"]
-        assert len(index) == 1
-
-    def test_minimal_pattern_index_accepts_any_hashable_parameter(self):
-        # The historical API keyed entries by arbitrary Hashable values; the
-        # store-backed index must keep that working for in-process backends.
-        from repro.core.framework import MinimalPatternIndex
-
-        index = MinimalPatternIndex()
-        parameter = frozenset({1, 2})
-        index.store(parameter, ["y"], 0.25)
-        assert index.get(parameter) == ["y"]
-        assert index.build_seconds_for(parameter) == 0.25
-        assert index.parameters() == [parameter]
-        assert index.entries == {parameter: ["y"]}
-
-    def test_unportable_parameters_match_by_equality_not_repr(self):
-        # Equal-but-distinct instances whose reprs differ (default object
-        # repr embeds id()) must resolve to the same index entry, as the old
-        # dict-backed index guaranteed.
-        from repro.core.framework import MinimalPatternIndex
-
-        class Param:
-            def __init__(self, value):
-                self.value = value
-
-            def __eq__(self, other):
-                return isinstance(other, Param) and other.value == self.value
-
-            def __hash__(self):
-                return hash(("Param", self.value))
-
-        index = MinimalPatternIndex()
-        index.store(Param(1), ["entry"], 0.1)
-        assert index.get(Param(1)) == ["entry"]
-        assert index.get(Param(2)) is None
-        index.store(Param(2), ["other"], 0.2)
-        assert len(index) == 2
-
-    def test_unportable_parameter_readable_from_second_instance(self, tmp_path):
-        # Another process/instance reading the same store can't rebuild the
-        # original object; it must see a hashable repr stand-in, not crash.
-        from repro.core.framework import MinimalPatternIndex
-        from repro.index.store import DiskPatternStore
-
-        writer = MinimalPatternIndex(backend=DiskPatternStore(tmp_path), fingerprint="f")
-        writer.store(frozenset({1, 2}), [], 0.1)
-        reader = MinimalPatternIndex(backend=DiskPatternStore(tmp_path), fingerprint="f")
-        assert reader.parameters() == [repr(frozenset({1, 2}))]
-        assert reader.entries == {repr(frozenset({1, 2})): []}
-
-    def test_direct_miner_with_disk_store(self, tmp_path):
-        from repro.index.store import DiskPatternStore
-
-        background, _ = self.build_data()
-        store = DiskPatternStore(tmp_path)
-        first = DirectMiner(
-            background, min_support=2, driver=SkinnyConstraintDriver(), store=store
-        )
-        first.precompute([(5, 1)])
-        # A second miner over the same directory sees the Stage-1 entry.
-        second = DirectMiner(
-            background,
-            min_support=2,
-            driver=SkinnyConstraintDriver(),
-            store=DiskPatternStore(tmp_path),
-        )
-        second.mine((5, 1))
-        assert second.last_report.served_from_index
+        everything = forms()
+        closed = forms(closed_only=True)
+        maximal = forms(maximal_only=True)
+        # A pattern with no frequent super-pattern has none of equal support.
+        assert maximal and not maximal - closed
+        assert closed and not closed - everything

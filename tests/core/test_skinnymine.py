@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SkinnyMine, SupportMeasure, mine_skinny_patterns
+from repro.core import SkinnyMine, SupportMeasure
 from repro.core.diameter import is_l_long_delta_skinny
 from repro.core.reference import enumerate_and_check_spm
 from repro.graph.generators import (
@@ -17,6 +17,7 @@ from repro.graph.generators import (
 )
 from repro.graph.isomorphism import are_isomorphic
 from repro.graph.labeled_graph import graph_from_paths
+from repro.obs import Tracer
 
 
 def injected_background(seed: int = 1, copies: int = 3):
@@ -75,10 +76,6 @@ class TestBasicMining:
         with pytest.raises(ValueError):
             miner.mine(1, -1)
 
-    def test_functional_facade(self):
-        graph = graph_from_paths([list("abcd"), list("abcd")])
-        assert len(mine_skinny_patterns(graph, 3, 1, 2)) == 1
-
     def test_report_populated(self):
         background, _ = injected_background(seed=13)
         miner = SkinnyMine(background, min_support=3)
@@ -90,6 +87,32 @@ class TestBasicMining:
         assert report.total_seconds >= 0
         assert report.diammine_seconds >= 0
         assert report.levelgrow_seconds >= 0
+
+    def test_standalone_spans(self):
+        background, _ = injected_background(seed=13)
+        tracer = Tracer()
+        miner = SkinnyMine(background, min_support=3, tracer=tracer)
+        results = miner.mine(5, 2)
+        roots = tracer.drain()
+        assert [root["name"] for root in roots] == ["stage1", "stage2"]
+        stage1, stage2 = roots
+        assert stage1["attrs"]["diameters"] == miner.last_report.num_diameters >= 1
+        assert stage2["attrs"]["patterns"] == len(results)
+        # One run of level spans per cluster: levels 1, 2, ... up to δ, cut
+        # short only after a level that grew nothing.
+        runs = []
+        for child in stage2["children"]:
+            if child["name"] == "stage2.level":
+                if child["attrs"]["level"] == 1:
+                    runs.append([])
+                runs[-1].append(child["attrs"])
+        assert len(runs) == miner.last_report.num_diameters
+        for run in runs:
+            assert [attrs["level"] for attrs in run] == list(range(1, len(run) + 1))
+            assert all(attrs["grown"] > 0 for attrs in run[:-1])
+            assert len(run) == 2 or run[-1]["grown"] == 0
+        phases = {child["name"] for child in stage2["children"]} - {"stage2.level"}
+        assert phases == {"stage2.phase." + p for p in ("canonical", "invariant", "probe")}
 
 
 class TestDirectMiningIndex:

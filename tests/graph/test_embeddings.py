@@ -16,11 +16,20 @@ from repro.graph.embeddings import (
     embeddings_from_maps,
     mni_support,
     path_embedding,
-    set_row_storage,
     transaction_support,
 )
 from repro.graph.isomorphism import find_subgraph_embeddings
 from repro.graph.labeled_graph import build_graph
+
+
+def hashed_image_keys(table: EmbeddingTable) -> set:
+    """The hashing reference for :meth:`EmbeddingTable.embedding_support`.
+
+    Distinct occurrence keys (transaction, sorted data-vertex tuple) in a
+    set: embeddings are injective, so the sorted tuple is a canonical form
+    of the image.
+    """
+    return set(zip(table.graph_ids, table.row_keys()))
 
 
 class TestEmbedding:
@@ -161,7 +170,7 @@ class TestEmbeddingTable:
         ]
         collection, table = _parity_pair(embeddings)
         assert table.embedding_support() == collection.embedding_support() == 2
-        assert table.image_keys() == {(0, (1, 2)), (1, (1, 2))}
+        assert hashed_image_keys(table) == {(0, (1, 2)), (1, (1, 2))}
 
     def test_transaction_support_parity(self):
         embeddings = [
@@ -240,6 +249,44 @@ class TestEmbeddingTable:
         assert one.columns is two.columns
 
 
+class TestTupleFallback:
+    """Tables keep eager per-row tuples for ids an int64 arena cannot hold."""
+
+    @pytest.mark.parametrize(
+        "row, mode",
+        [
+            ((2**63 - 1, 0), "array"),
+            ((2**63, 0), "tuple"),
+            ((-(2**63), 0), "array"),
+            ((-(2**63) - 1, 0), "tuple"),
+            (("u", "v"), "tuple"),
+            ((0.5, 1.5), "tuple"),
+        ],
+        ids=["int64-max", "above-int64", "int64-min", "below-int64", "str", "float"],
+    )
+    def test_storage_follows_the_vertex_domain(self, row, mode):
+        table = EmbeddingTable((0, 1), rows=[row, row[::-1]], graph_ids=[0, 1])
+        assert table.storage_mode() == mode
+        assert table.rows == [row, row[::-1]]
+        assert table.row_keys() == [tuple(sorted(row))] * 2
+        assert table.embedding_support() == 2
+        assert table.transaction_support() == 2
+
+    def test_derived_tables_inherit_tuple_storage(self):
+        # Rows 0 and 1 cover the same vertices in one transaction.
+        table = EmbeddingTable(
+            (0, 1), rows=[("a", "b"), ("b", "a"), ("a", "d")], graph_ids=[0, 0, 1]
+        )
+        child = table.extended(2, [(0, "c"), (1, "c"), (2, "b")])
+        grandchild = child.subset([0, 2])
+        assert table.storage_mode() == child.storage_mode() == grandchild.storage_mode() == "tuple"
+        assert child.rows == [("a", "b", "c"), ("b", "a", "c"), ("a", "d", "b")]
+        assert grandchild.rows == [("a", "b", "c"), ("a", "d", "b")]
+        assert grandchild.graph_ids == [0, 1]
+        assert table.embedding_support() == child.embedding_support() == 2
+        assert grandchild.embedding_support() == grandchild.mni_support() == 2
+
+
 class TestSupportMeasures:
     def test_mni_support_simple(self):
         pattern = build_graph({0: "a", 1: "b"}, [(0, 1)])
@@ -298,13 +345,13 @@ def _random_table_embeddings(rng, width, num_rows, vertex_pool, num_graphs):
 
 
 class TestSupportCounterDifferential:
-    """ISSUE-9: the merge-scan support counter vs the hashing reference.
+    """The merge-scan support counter vs the hashing reference.
 
     :meth:`EmbeddingTable.embedding_support` counts distinct (transaction,
     image) occurrences by a sort + adjacent-distinct scan (byte slices of
-    the flat key arena under array storage); :meth:`image_keys` is the
-    hashing path it replaced.  Both must agree on every table shape, and
-    the two storage modes must produce identical supports and identically
+    the flat key arena under array storage); :func:`hashed_image_keys` is
+    the hashing path it replaced.  Both must agree on every table shape, and
+    arena and tuple storage must produce identical supports and identically
     *ordered* ``row_keys``.
     """
 
@@ -316,31 +363,30 @@ class TestSupportCounterDifferential:
     )
     @settings(max_examples=120, deadline=None)
     def test_merge_scan_matches_hashing_across_storage_modes(
-        self, width, num_rows, num_graphs, seed
+        self, tuple_storage, width, num_rows, num_graphs, seed
     ):
         rng = random.Random(seed)
         pool = list(range(width + 3))  # small pool → permuted duplicate images
         embeddings = _random_table_embeddings(rng, width, num_rows, pool, num_graphs)
+
+        def build(mode):
+            table = EmbeddingTable.from_embeddings(embeddings)
+            return tuple_storage.table(table) if mode == "tuple" else table
+
         results = {}
-        previous = set_row_storage("array")
-        try:
-            for mode in ("array", "tuple"):
-                set_row_storage(mode)
-                table = EmbeddingTable.from_embeddings(embeddings)
-                if num_rows:  # empty tables have no arena in either mode
-                    assert table.storage_mode() == mode
-                # Hashing reference on a fresh copy so the merge-scan cannot
-                # read a cached value derived from image_keys (or vice versa).
-                hashed = len(EmbeddingTable.from_embeddings(embeddings).image_keys())
-                results[mode] = (
-                    table.embedding_support(),
-                    table.mni_support(),
-                    table.transaction_support(),
-                    table.row_keys(),
-                )
-                assert results[mode][0] == hashed
-        finally:
-            set_row_storage(previous)
+        for mode in ("array", "tuple"):
+            table = build(mode)
+            assert table.storage_mode() == mode
+            # Hashing reference on a fresh copy so the merge-scan cannot
+            # read a cached value derived from the hashing path (or vice versa).
+            hashed = len(hashed_image_keys(build(mode)))
+            results[mode] = (
+                table.embedding_support(),
+                table.mni_support(),
+                table.transaction_support(),
+                table.row_keys(),
+            )
+            assert results[mode][0] == hashed
         assert results["array"] == results["tuple"]
 
     @given(
@@ -349,40 +395,38 @@ class TestSupportCounterDifferential:
         st.integers(min_value=0, max_value=100_000),
     )
     @settings(max_examples=80, deadline=None)
-    def test_parity_survives_extend_and_subset(self, width, num_rows, seed):
+    def test_parity_survives_extend_and_subset(self, tuple_storage, width, num_rows, seed):
         rng = random.Random(seed)
         pool = list(range(width + 4))
         embeddings = _random_table_embeddings(rng, width, num_rows, pool, 2)
         new_vertex = width  # next pattern column
         results = {}
-        previous = set_row_storage("array")
-        try:
-            for mode in ("array", "tuple"):
-                set_row_storage(mode)
-                table = EmbeddingTable.from_embeddings(embeddings)
-                table.row_keys()  # force the sorted-key path in extended()
-                join_rng = random.Random(seed + 1)
-                join_pairs = []
-                for row_index, row in enumerate(table.rows):
-                    free = [v for v in pool if v not in row]
-                    if free and join_rng.random() < 0.8:
-                        join_pairs.append((row_index, join_rng.choice(free)))
-                child = table.extended(new_vertex, join_pairs)
-                keep = [
-                    i
-                    for i in range(len(child.graph_ids))
-                    if random.Random(seed + 2 + i).random() < 0.7
-                ]
-                grandchild = child.subset(keep)
-                results[mode] = (
-                    child.embedding_support(),
-                    child.row_keys(),
-                    len(child.image_keys()),
-                    grandchild.embedding_support(),
-                    grandchild.row_keys(),
-                    grandchild.mni_support(),
-                )
-                assert results[mode][0] == results[mode][2]
-        finally:
-            set_row_storage(previous)
+        for mode in ("array", "tuple"):
+            table = EmbeddingTable.from_embeddings(embeddings)
+            if mode == "tuple":
+                tuple_storage.table(table)
+            table.row_keys()  # force the sorted-key path in extended()
+            join_rng = random.Random(seed + 1)
+            join_pairs = []
+            for row_index, row in enumerate(table.rows):
+                free = [v for v in pool if v not in row]
+                if free and join_rng.random() < 0.8:
+                    join_pairs.append((row_index, join_rng.choice(free)))
+            child = table.extended(new_vertex, join_pairs)
+            keep = [
+                i
+                for i in range(len(child.graph_ids))
+                if random.Random(seed + 2 + i).random() < 0.7
+            ]
+            grandchild = child.subset(keep)
+            assert child.storage_mode() == grandchild.storage_mode() == mode
+            results[mode] = (
+                child.embedding_support(),
+                child.row_keys(),
+                len(hashed_image_keys(child)),
+                grandchild.embedding_support(),
+                grandchild.row_keys(),
+                grandchild.mni_support(),
+            )
+            assert results[mode][0] == results[mode][2]
         assert results["array"] == results["tuple"]

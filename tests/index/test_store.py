@@ -156,8 +156,8 @@ class TestDiskStore:
         assert DiskPatternStore(tmp_path).get(key) is None
 
     def test_empty_fingerprint_entries_are_enumerable(self, tmp_path, sample_paths):
-        # MinimalPatternIndex defaults to fingerprint=""; the disk layout must
-        # still occupy one directory level so keys()/info() find the entry.
+        # StoreKey allows fingerprint=""; the disk layout must still occupy
+        # one directory level so keys()/info() find the entry.
         store = DiskPatternStore(tmp_path)
         key = StoreKey.make("", "generic", (5, 1))
         store.put(IndexEntry(key=key, patterns=list(sample_paths)))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import MalformedQueryError, Query
 from repro.cli import _parse_lengths, load_dataset, main
 from repro.graph.io import write_lg
 from repro.graph.labeled_graph import build_graph
@@ -307,8 +308,10 @@ class TestServeBatch:
         requests.write_text(
             json.dumps(
                 [
-                    {"length": 3, "delta": 1, "min_support": 2},
-                    {"length": 3, "delta": 1, "min_support": 2, "top_k": 1},
+                    {"constraint": "skinny", "params": {"length": 3, "delta": 1},
+                     "min_support": 2},
+                    {"constraint": "skinny", "params": {"length": 3, "delta": 1},
+                     "min_support": 2, "top_k": 1},
                 ]
             ),
             encoding="utf-8",
@@ -329,6 +332,20 @@ class TestServeBatch:
         assert len(results) == 2
         assert results[1]["num_patterns"] <= 1
         assert "patterns" not in results[0]
+
+    def test_legacy_payload_rejected(self, lg_file, tmp_path, capsys):
+        # serve-batch takes Query envelopes only; the pre-envelope
+        # {"length", "delta"} shape is a typed MalformedQueryError.
+        legacy = {"length": 3, "delta": 1, "min_support": 2}
+        with pytest.raises(MalformedQueryError, match="'constraint' field"):
+            Query.from_dict(legacy)
+        requests = tmp_path / "requests.json"
+        requests.write_text(json.dumps([legacy]), encoding="utf-8")
+        assert (
+            main(["serve-batch", "--data", str(lg_file), "--requests", str(requests)])
+            == 1
+        )
+        assert "missing the 'constraint' field" in capsys.readouterr().err
 
     def test_batch_rejects_non_list(self, lg_file, tmp_path, capsys):
         requests = tmp_path / "requests.json"
@@ -449,7 +466,8 @@ class TestConstraintDispatch:
                 [
                     {"constraint": "path", "params": {"length": 3}, "min_support": 2},
                     {"constraint": "diam-le", "params": {"k": 2}, "min_support": 2},
-                    {"length": 3, "delta": 1, "min_support": 2},  # legacy shape
+                    {"constraint": "skinny", "params": {"length": 3, "delta": 1},
+                     "min_support": 2},
                 ]
             ),
             encoding="utf-8",
@@ -659,7 +677,7 @@ class TestErrors:
             main(["serve-batch", "--data", str(lg_file), "--requests", str(requests)])
             == 1
         )
-        assert "neither a Query envelope" in capsys.readouterr().err
+        assert "missing the 'constraint' field" in capsys.readouterr().err
 
     def test_index_build_lengths_required_for_length_indexed(self, lg_file, tmp_path, capsys):
         assert (

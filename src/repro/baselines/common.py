@@ -6,22 +6,21 @@ build the paper's pattern-size distributions (Figures 4–10) uniformly.
 
 :class:`PatternGrowthMiner` is the generic frequent-connected-subgraph miner
 used by the gSpan and MoSS adapters: occurrence-list based pattern growth with
-exact duplicate elimination.  It supports all three support measures of
-:class:`repro.core.database.MiningContext` and optional caps on pattern size
-and running time (the paper repeatedly notes that complete miners "fail
-halfway due to intractability"; the caps let the benchmark harness reproduce
-that behaviour without hanging the test machine).
+occurrences grouped by their pattern's exact canonical key.  It supports all
+three support measures of :class:`repro.core.database.MiningContext` and
+optional caps on pattern size and running time (the paper repeatedly notes
+that complete miners "fail halfway due to intractability"; the caps let the
+benchmark harness reproduce that behaviour without hanging the test machine).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.database import MiningContext, SupportMeasure
-from repro.graph.canonical import wl_signature
-from repro.graph.isomorphism import are_isomorphic
+from repro.graph.canonical import canonical_key
 from repro.graph.labeled_graph import LabeledGraph, VertexId
 
 EdgeKey = Tuple[VertexId, VertexId]
@@ -52,26 +51,17 @@ class MinedPattern:
 
 
 class IsomorphismRegistry:
-    """Exact duplicate detection keyed by WL signature (as in LevelGrow)."""
+    """Exact duplicate detection: the set of canonical keys seen so far."""
 
     def __init__(self) -> None:
-        self._buckets: Dict[Tuple, List[LabeledGraph]] = {}
-
-    def index_of(self, pattern: LabeledGraph) -> Optional[int]:
-        bucket = self._buckets.get(wl_signature(pattern), [])
-        for index, member in enumerate(bucket):
-            if are_isomorphic(pattern, member):
-                return id(member)
-        return None
+        self._keys: Set[Tuple] = set()
 
     def add(self, pattern: LabeledGraph) -> bool:
         """Add ``pattern``; return True if it is new."""
-        signature = wl_signature(pattern)
-        bucket = self._buckets.setdefault(signature, [])
-        for member in bucket:
-            if are_isomorphic(pattern, member):
-                return False
-        bucket.append(pattern)
+        key = canonical_key(pattern)
+        if key in self._keys:
+            return False
+        self._keys.add(key)
         return True
 
 
@@ -117,11 +107,12 @@ class PatternGrowthMiner:
     """Generic complete frequent-connected-subgraph miner (pattern growth).
 
     Grows patterns one data edge at a time from single-edge seeds, keeping
-    exact occurrence lists.  Duplicate patterns are collapsed through an
-    isomorphism registry.  The miner is *complete* up to ``max_edges`` and the
-    optional time budget: when the budget is exhausted mid-way the result is
-    flagged ``completed=False``, which the runtime-comparison benchmarks use
-    to reproduce the paper's ">18000 seconds / did not finish" rows.
+    exact occurrence lists.  Occurrences are grouped by their pattern's
+    canonical key, so each group is one pattern and is reported once.  The
+    miner is *complete* up to ``max_edges`` and the optional time budget:
+    when the budget is exhausted mid-way the result is flagged
+    ``completed=False``, which the runtime-comparison benchmarks use to
+    reproduce the paper's ">18000 seconds / did not finish" rows.
     """
 
     def __init__(
@@ -160,7 +151,6 @@ class PatternGrowthMiner:
                 current.setdefault(key, {})[(graph_index, edges)] = None
                 representative.setdefault(key, (graph_index, edges))
 
-        registry = IsomorphismRegistry()
         size = 1
         while current:
             if out_of_budget():
@@ -180,15 +170,14 @@ class PatternGrowthMiner:
                 result.patterns_explored += 1
                 if not self._context.is_frequent(support):
                     continue
-                if registry.add(pattern):
-                    result.patterns.append(MinedPattern(pattern, support))
-                    if (
-                        self._max_patterns is not None
-                        and len(result.patterns) >= self._max_patterns
-                    ):
-                        result.completed = False
-                        result.elapsed_seconds = time.perf_counter() - started
-                        return result
+                result.patterns.append(MinedPattern(pattern, support))
+                if (
+                    self._max_patterns is not None
+                    and len(result.patterns) >= self._max_patterns
+                ):
+                    result.completed = False
+                    result.elapsed_seconds = time.perf_counter() - started
+                    return result
                 if self._max_edges is not None and size >= self._max_edges:
                     continue
                 for occurrence_index, edges in occurrences:
@@ -202,7 +191,7 @@ class PatternGrowthMiner:
                             extended = edges | {new_edge}
                             extended_pattern = graph.edge_subgraph(sorted(extended))
                             compacted, _ = extended_pattern.compact()
-                            new_key = wl_signature(compacted)
+                            new_key = canonical_key(compacted)
                             next_level.setdefault(("grown", size + 1, new_key), {})[
                                 (occurrence_index, extended)
                             ] = None

@@ -8,15 +8,19 @@ paper, are:
    the tree of vertices within distance ``r`` of it;
 2. randomly pick a set of seed spiders (large patterns are hit with high
    probability because they contain many spiders);
-3. repeatedly **merge** spiders whose embeddings overlap or touch, growing
-   larger and larger patterns, up to ``D_max`` merge rounds;
+3. repeatedly **merge** spiders whose embeddings overlap, growing larger and
+   larger patterns, up to ``D_max`` merge rounds;
 4. return the top-K largest patterns found.
 
-The diameter of anything SpiderMine can build is bounded by roughly
-``2 * r * D_max`` and its growth is breadth-first around spider heads, which
-is why it finds large-but-fat patterns and misses long skinny ones — the
-behaviour the SkinnyMine evaluation (Figures 4–10, Table 3) demonstrates and
-which this reimplementation preserves.
+A round merges each region with at most one region it overlaps, so a merged
+region's diameter is at most the sum of its two parts' diameters.  An
+r-spider's diameter is at most ``2r``, so the diameter of anything
+SpiderMine can build is bounded by ``2r * 2^D_max``.  Its growth is
+breadth-first around spider heads, which is why it finds large-but-fat
+patterns and misses long skinny ones — the behaviour the SkinnyMine
+evaluation (Figures 4–10, Table 3) demonstrates and which this
+reimplementation preserves.  Spiders and merged regions are grouped by
+their exact canonical key.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.baselines.common import MinedPattern
 from repro.core.database import MiningContext, SupportMeasure
-from repro.graph.canonical import wl_signature
+from repro.graph.canonical import canonical_key
 from repro.graph.labeled_graph import LabeledGraph, VertexId
 
 Occurrence = Tuple[int, FrozenSet[VertexId]]
@@ -38,7 +42,7 @@ Occurrence = Tuple[int, FrozenSet[VertexId]]
 class _Spider:
     """A frequent r-spider: a pattern shape with its vertex-set occurrences."""
 
-    signature: Tuple
+    key: Tuple
     occurrences: List[Occurrence]
     sample_graph_index: int
     sample_vertices: FrozenSet[VertexId]
@@ -102,7 +106,7 @@ class SpiderMiner:
     def _spider_around(
         self, graph_index: int, head: VertexId
     ) -> Tuple[Tuple, FrozenSet[VertexId]]:
-        """The r-neighbourhood of ``head`` as (shape signature, vertex set)."""
+        """The r-neighbourhood of ``head`` as (canonical key, vertex set)."""
         graph = self._context.graph(graph_index)
         frontier = {head}
         vertices: Set[VertexId] = {head}
@@ -115,7 +119,7 @@ class SpiderMiner:
             }
             vertices |= frontier
         subgraph = graph.subgraph(vertices)
-        return wl_signature(subgraph), frozenset(vertices)
+        return canonical_key(subgraph), frozenset(vertices)
 
     def _mine_spiders(self) -> List[_Spider]:
         """Group r-neighbourhoods by shape and keep the frequent ones."""
@@ -123,11 +127,11 @@ class SpiderMiner:
         for graph_index in self._context.graph_indices():
             graph = self._context.graph(graph_index)
             for head in graph.vertices():
-                signature, vertices = self._spider_around(graph_index, head)
-                spider = grouped.get(signature)
+                key, vertices = self._spider_around(graph_index, head)
+                spider = grouped.get(key)
                 if spider is None:
-                    grouped[signature] = _Spider(
-                        signature=signature,
+                    grouped[key] = _Spider(
+                        key=key,
                         occurrences=[(graph_index, vertices)],
                         sample_graph_index=graph_index,
                         sample_vertices=vertices,
@@ -147,40 +151,26 @@ class SpiderMiner:
     def _merge_round(
         self, regions: List[Occurrence]
     ) -> List[Occurrence]:
-        """Merge regions whose vertex sets touch (share a vertex or an edge).
+        """Merge each region with at most one later region it overlaps.
 
-        Each region's closed neighbourhood (its vertices plus their data-graph
-        neighbours) is precomputed so the pairwise "touches" test is a set
-        intersection instead of an edge-by-edge scan.
+        Two regions overlap when they share a vertex.  Merging pairs instead
+        of absorbing everything that meets the growing union keeps one round
+        from chaining a whole path: a merged region's diameter is at most
+        the sum of its two parts' diameters.
         """
         merged: List[Occurrence] = []
         used = [False] * len(regions)
-        neighborhoods: List[Set[VertexId]] = []
-        for graph_index, vertices in regions:
-            graph = self._context.graph(graph_index)
-            closed = set(vertices)
-            for vertex in vertices:
-                closed |= graph.neighbors(vertex)
-            neighborhoods.append(closed)
-
         for i, (graph_index, vertices) in enumerate(regions):
             if used[i]:
                 continue
-            graph = self._context.graph(graph_index)
-            combined = set(vertices)
-            combined_closed = set(neighborhoods[i])
             used[i] = True
             for j in range(i + 1, len(regions)):
-                if used[j]:
-                    continue
                 other_index, other_vertices = regions[j]
-                if other_index != graph_index:
-                    continue
-                if combined_closed & other_vertices or combined & neighborhoods[j]:
-                    combined |= other_vertices
-                    combined_closed |= neighborhoods[j]
+                if not used[j] and other_index == graph_index and vertices & other_vertices:
+                    vertices = vertices | other_vertices
                     used[j] = True
-            merged.append((graph_index, frozenset(combined)))
+                    break
+            merged.append((graph_index, vertices))
         return merged
 
     # ------------------------------------------------------------------ #
@@ -217,12 +207,12 @@ class SpiderMiner:
         samples: Dict[Tuple, Occurrence] = {}
         for graph_index, vertices in regions:
             graph = self._context.graph(graph_index)
-            signature = wl_signature(graph.subgraph(vertices))
-            grouped.setdefault(signature, []).append((graph_index, vertices))
-            samples.setdefault(signature, (graph_index, vertices))
+            key = canonical_key(graph.subgraph(vertices))
+            grouped.setdefault(key, []).append((graph_index, vertices))
+            samples.setdefault(key, (graph_index, vertices))
 
         candidates: List[MinedPattern] = []
-        for signature, occurrences in grouped.items():
+        for key, occurrences in grouped.items():
             support = (
                 len({index for index, _ in occurrences})
                 if self._context.support_measure is SupportMeasure.TRANSACTIONS
@@ -230,7 +220,7 @@ class SpiderMiner:
             )
             if support < self._context.min_support:
                 continue
-            graph_index, vertices = samples[signature]
+            graph_index, vertices = samples[key]
             pattern = self._context.graph(graph_index).subgraph(vertices).compact()[0]
             candidates.append(MinedPattern(pattern, support, score=float(len(vertices))))
 

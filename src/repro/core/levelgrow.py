@@ -23,9 +23,11 @@ only arise *within* a cluster, from reaching the same pattern through
 different edge-addition orders.  The paper orders extension edges and anchors
 each pattern at its last added edge (gSpan style); this implementation keeps
 the canonical ordering of candidate extensions but guarantees uniqueness with
-an explicit per-cluster registry keyed by exact canonical forms, which is
-simpler to reason about and immune to corner cases in the anchor ordering
-when new twig vertices are created dynamically.  The observable behaviour
+an explicit per-cluster registry: a set of exact canonical keys
+(:func:`repro.graph.canonical.canonical_key`, or the same key derived
+incrementally for trees and unicyclic patterns).  That is simpler to reason
+about and immune to corner cases in the anchor ordering when new twig
+vertices are created dynamically.  The observable behaviour
 (each pattern reported exactly once, only cluster-local candidates examined)
 matches the paper.
 """
@@ -44,82 +46,10 @@ from repro.core.constraints import (
 )
 from repro.core.database import MiningContext
 from repro.core.patterns import GrowthState
-from repro.graph.canonical import UnicyclicEncodings, ladder_key, wl_signature
-from repro.graph.isomorphism import are_isomorphic
+from repro.graph.canonical import UnicyclicEncodings, canonical_key
 from repro.graph.labeled_graph import LabeledGraph, VertexId
 from repro.graph.paths import _farthest as _descriptor_farthest
 from repro.graph.paths import sum_sweep_diameter
-
-
-class PatternRegistry:
-    """Exact duplicate detection tuned for the growth loop.
-
-    Patterns of cycle rank <= 2 — trees (the canonical diameter plus pendant
-    twigs, the overwhelmingly common case), single-cycle and two-cycle
-    patterns — are keyed by the exact cycle-rank ladder,
-    :func:`repro.graph.canonical.ladder_key`: one set membership test per
-    candidate, memoised across all growth levels.  In the growth loop the
-    tree and unicyclic keys arrive precomputed, derived incrementally from
-    the parent state's carried encodings.  Only patterns with three or more
-    cycles fall back to bucketing by a Weisfeiler–Lehman signature (vertex
-    *and* edge-pair colour histograms per round) with an exact
-    labeled-isomorphism test on collision.  (The minimum-DFS-code fallback
-    of :func:`repro.graph.canonical.canonical_key` is *not* used here: its
-    branch-and-bound is exponential on exactly the dense patterns that
-    reach this rung.)  Isomorphic patterns are always detected — the ladder
-    keys and the VF2 confirmation are exact, the signature is
-    isomorphism-invariant — so the registry never reports a false duplicate
-    nor misses a true one.
-    """
-
-    def __init__(self) -> None:
-        self._exact_keys: Set[Tuple] = set()
-        self._buckets: Dict[Tuple, List[LabeledGraph]] = {}
-        self._count = 0
-
-    def add_if_new(
-        self,
-        pattern: LabeledGraph,
-        exact_key: Optional[Tuple] = None,
-        signature: Optional[Tuple] = None,
-    ) -> bool:
-        """Register ``pattern``; return True if it was not seen before.
-
-        ``exact_key`` / ``signature`` accept keys the caller already holds —
-        the growth loop derives tree keys incrementally from the parent
-        state's carried encodings (see :class:`GrowthState`), so the
-        registry must not recompute them.  Left ``None``, the keys are
-        computed here exactly as before.
-        """
-        if exact_key is None:
-            exact_key = ladder_key(pattern)
-        if exact_key is not None:
-            if exact_key in self._exact_keys:
-                return False
-            self._exact_keys.add(exact_key)
-            self._count += 1
-            return True
-        if signature is None:
-            signature = wl_signature(pattern)
-        bucket = self._buckets.setdefault(signature, [])
-        for member in bucket:
-            if are_isomorphic(pattern, member):
-                return False
-        bucket.append(pattern)
-        self._count += 1
-        return True
-
-    def contains_exact(self, exact_key: Tuple) -> bool:
-        """True iff a pattern with this exact canonical key is registered.
-
-        Pure membership peek — no mutation, no fallback bucketing.  The
-        growth loop uses it to recognise a re-derived tree child *before*
-        paying for the candidate's pattern copy and state construction.
-        """
-        return exact_key in self._exact_keys
-
-    def __len__(self) -> int:
-        return self._count
 
 
 @dataclass(frozen=True)
@@ -453,64 +383,36 @@ def diameter_descriptor(
 
 
 class DiameterDescriptorCache:
-    """Cross-cluster memo: canonical form → :func:`diameter_descriptor`.
+    """Cross-cluster memo: canonical key → :func:`diameter_descriptor`.
 
     The same candidate pattern is routinely *generated* in several clusters
     (each cluster whose diameter it contains proposes it; only the cluster
     owning its canonical diameter emits it, the rest reject it at the
     Loop-Invariant gate).  The descriptor is a function of the abstract
-    pattern, so those repeated verifications can share one computation:
-    trees key directly by their (incrementally derived) AHU key; cyclic
-    patterns bucket by WL signature with a VF2 confirmation, mirroring the
-    duplicate registry's exactness argument.  One cache is shared across all
-    the clusters of a miner — and across requests, since verdicts never go
-    stale (they depend on no data, threshold or measure).
+    pattern, so those repeated verifications can share one computation,
+    keyed by the same exact canonical keys as the duplicate registries.  One
+    cache is shared across all the clusters of a miner — and across
+    requests, since verdicts never go stale (they depend on no data,
+    threshold or measure).
 
     Long-lived owners (the engine, a service) would otherwise grow the memo
-    for the process lifetime — the WL buckets even pin pattern graphs — so
-    the cache is bounded: past ``max_entries`` it is flushed wholesale.
-    Descriptors are cheap to recompute on a miss, and a flush only costs
-    the cross-request warm-up, so the simple policy beats per-hit LRU
-    bookkeeping on the emission hot path.
+    for the process lifetime, so the dict is bounded: past ``max_entries``
+    keys it is flushed wholesale.  Descriptors are cheap to recompute on a
+    miss, and a flush only costs the cross-request warm-up, so the simple
+    policy beats per-hit LRU bookkeeping on the emission hot path.
     """
 
     def __init__(self, max_entries: int = 500_000) -> None:
         self._max_entries = max_entries
-        self._entries = 0
-        self._by_exact_key: Dict[Tuple, Tuple[int, Tuple[str, ...]]] = {}
-        self._buckets: Dict[
-            Tuple, List[Tuple[LabeledGraph, Tuple[int, Tuple[str, ...]]]]
-        ] = {}
+        self._descriptors: Dict[Tuple, Tuple[int, Tuple[str, ...]]] = {}
 
-    def lookup(
-        self,
-        pattern: LabeledGraph,
-        exact_key: Optional[Tuple],
-        signature: Optional[Tuple],
-    ) -> Optional[Tuple[int, Tuple[str, ...]]]:
-        if exact_key is not None:
-            return self._by_exact_key.get(exact_key)
-        for member, descriptor in self._buckets.get(signature, ()):
-            if are_isomorphic(pattern, member):
-                return descriptor
-        return None
+    def lookup(self, key: Tuple) -> Optional[Tuple[int, Tuple[str, ...]]]:
+        return self._descriptors.get(key)
 
-    def store(
-        self,
-        pattern: LabeledGraph,
-        exact_key: Optional[Tuple],
-        signature: Optional[Tuple],
-        descriptor: Tuple[int, Tuple[str, ...]],
-    ) -> None:
-        if self._entries >= self._max_entries:
-            self._by_exact_key.clear()
-            self._buckets.clear()
-            self._entries = 0
-        if exact_key is not None:
-            self._by_exact_key[exact_key] = descriptor
-        else:
-            self._buckets.setdefault(signature, []).append((pattern, descriptor))
-        self._entries += 1
+    def store(self, key: Tuple, descriptor: Tuple[int, Tuple[str, ...]]) -> None:
+        if len(self._descriptors) >= self._max_entries:
+            self._descriptors.clear()
+        self._descriptors[key] = descriptor
 
 
 @dataclass
@@ -554,8 +456,10 @@ class LevelGrower:
         # canonical key alone — before the embedding join its support (the
         # only thing the accounting consumes) would be computed by.
         self._child_accounting = child_accounting
-        self._registry = PatternRegistry()
-        self._pending_registry = PatternRegistry()
+        # Canonical keys of the patterns explored so far: reportable ones,
+        # and pending intermediates (see grow_level_full).
+        self._registry: Set[Tuple] = set()
+        self._pending_registry: Set[Tuple] = set()
         # (graph_index, diameter-image tuple) -> data distance to the nearest
         # diameter image, for data vertices within the growth horizon.  The
         # diameter images of a row never change within a cluster, so this is
@@ -577,8 +481,7 @@ class LevelGrower:
     # ------------------------------------------------------------------ #
     def register(self, state: GrowthState) -> None:
         """Record a pattern (typically the bare diameter) in the duplicate registry."""
-        exact_key, signature = self._canonical_keys(state)
-        self._registry.add_if_new(state.pattern, exact_key=exact_key, signature=signature)
+        self._registry.add(self._canonical_key(state))
 
     def grow_level(self, state: GrowthState, level: int) -> List[GrowthState]:
         """The reportable patterns of :meth:`grow_level_full` (compatibility view).
@@ -715,9 +618,8 @@ class LevelGrower:
                     # ancestor: patterns emitted out of the excursion are
                     # that ancestor's super-patterns.
                     extended.origin = current.origin if current.deficiency else current
-                    exact_key, signature = self._canonical_keys(extended)
                     if self._add_if_new(
-                        self._pending_registry, extended.pattern, exact_key, signature
+                        self._pending_registry, self._canonical_key(extended)
                     ):
                         pending.append(extended)
                         worklist.append(extended)
@@ -729,21 +631,15 @@ class LevelGrower:
                 credited = (
                     current if not current.deficiency else (current.origin or current)
                 )
-                exact_key, signature = self._canonical_keys(extended)
-                if not self._add_if_new(
-                    self._registry, extended.pattern, exact_key, signature
-                ):
+                key = self._canonical_key(extended)
+                if not self._add_if_new(self._registry, key):
                     self.statistics.candidates_rejected_duplicate += 1
                     credited.accepted_children += 1
                     if extended.support >= credited.support:
                         credited.equal_support_children += 1
                     continue
                 if not self._holds_loop_invariant(
-                    extended,
-                    exact_key,
-                    signature,
-                    parent_state=current,
-                    extension=extension,
+                    extended, key, parent_state=current, extension=extension
                 ):
                     # The pattern's true canonical diameter is some other
                     # (smaller-label) length-D(P) path: the pattern belongs
@@ -771,51 +667,42 @@ class LevelGrower:
     # ------------------------------------------------------------------ #
     # canonical keys and the emission-time invariant
     # ------------------------------------------------------------------ #
-    def _canonical_keys(
-        self, state: GrowthState
-    ) -> Tuple[Optional[Tuple], Optional[Tuple]]:
-        """``(exact_key, signature)`` for the state's pattern, computed once.
+    def _canonical_key(self, state: GrowthState) -> Tuple:
+        """The exact canonical key of the state's pattern.
 
         Tree-shaped and unicyclic states carry encodings
         (:class:`~repro.graph.canonical.TreeEncodings`,
         :class:`~repro.graph.canonical.UnicyclicEncodings`) derived
-        incrementally along the growth chain, so their exact key is an
-        attribute read (counted as ``canonical_incremental_hits``); states
-        without encodings — cycle-closing extensions, or externally built
-        states — take the batch cycle-rank ladder, and patterns above it
-        (rank >= 3) a WL signature.  Exactly one of the two results is
-        non-``None``.
+        incrementally along the growth chain, so their key is an attribute
+        read (counted as ``canonical_incremental_hits``).  States without
+        encodings — patterns of cycle rank >= 2, or externally built states
+        — take :func:`~repro.graph.canonical.canonical_key`.  The caller
+        computes the key once and hands it to the duplicate registry and
+        the Loop-Invariant check.
         """
         started = time.perf_counter()
-        signature: Optional[Tuple] = None
         encodings = state.tree_encodings or state.cycle_encodings
         if encodings is not None:
-            exact_key = encodings.key
+            key = encodings.key
             self.statistics.canonical_incremental_hits += 1
         else:
-            exact_key = ladder_key(state.pattern)
-            if exact_key is None:
-                signature = wl_signature(state.pattern)
+            key = canonical_key(state.pattern)
         self.statistics.canonical_seconds += time.perf_counter() - started
-        return exact_key, signature
+        return key
 
-    def _add_if_new(
-        self,
-        registry: PatternRegistry,
-        pattern: LabeledGraph,
-        exact_key: Optional[Tuple],
-        signature: Optional[Tuple],
-    ) -> bool:
+    def _add_if_new(self, registry: Set[Tuple], key: Tuple) -> bool:
+        """Register ``key``; True iff no pattern with this key was seen."""
         started = time.perf_counter()
-        result = registry.add_if_new(pattern, exact_key=exact_key, signature=signature)
+        new = key not in registry
+        if new:
+            registry.add(key)
         self.statistics.canonical_seconds += time.perf_counter() - started
-        return result
+        return new
 
     def _holds_loop_invariant(
         self,
         state: GrowthState,
-        exact_key: Optional[Tuple] = None,
-        signature: Optional[Tuple] = None,
+        key: Optional[Tuple] = None,
         parent_state: Optional[GrowthState] = None,
         extension: Optional["Extension"] = None,
     ) -> bool:
@@ -843,12 +730,11 @@ class LevelGrower:
         cluster's comparison against *its own* stored diameter.
         """
         started = time.perf_counter()
-        if exact_key is None and signature is None:
-            exact_key, signature = self._canonical_keys(state)
+        if key is None:
+            key = self._canonical_key(state)
         cache = self._descriptor_cache
-        pattern = state.pattern
         expected = (state.diameter_len, state.diameter_label_sequence())
-        descriptor = cache.lookup(pattern, exact_key, signature)
+        descriptor = cache.lookup(key)
         holds: Optional[bool] = None
         if descriptor is not None:
             self.statistics.invariant_cache_hits += 1
@@ -864,14 +750,14 @@ class LevelGrower:
             # the descriptor to the stored (D(P), L) exactly.
             holds = self._pendant_invariant_holds(state)
             if holds:
-                cache.store(pattern, exact_key, signature, expected)
+                cache.store(key, expected)
         if holds is None:
             # The stored L seeds the lex-min pruning; it is achievable
             # whenever the pattern's diameter still equals D(P) (L is then a
             # diameter-realising shortest head–tail path) and is ignored by
             # length otherwise, so the descriptor stays exact and cacheable.
-            descriptor = diameter_descriptor(pattern, seed_labels=expected[1])
-            cache.store(pattern, exact_key, signature, descriptor)
+            descriptor = diameter_descriptor(state.pattern, seed_labels=expected[1])
+            cache.store(key, descriptor)
             holds = descriptor == expected
         self.statistics.invariant_seconds += time.perf_counter() - started
         return holds
@@ -1613,7 +1499,7 @@ class LevelGrower:
             peek_key = carried.extended_key(
                 extension.parent, new_vertex, extension.label
             )
-            duplicate = self._registry.contains_exact(peek_key)
+            duplicate = peek_key in self._registry
             self.statistics.canonical_seconds += time.perf_counter() - started
             if duplicate:
                 self.statistics.canonical_incremental_hits += 1
@@ -1643,7 +1529,7 @@ class LevelGrower:
             encodings = carried.extend(
                 extension.parent, new_vertex, extension.label
             )
-            if peekable and self._registry.contains_exact(encodings.key):
+            if peekable and encodings.key in self._registry:
                 self.statistics.canonical_incremental_hits += 1
                 self.statistics.canonical_seconds += time.perf_counter() - started
                 return _DuplicateChild(support)
@@ -1744,7 +1630,7 @@ class LevelGrower:
         # is now fixed for the whole derivation chain, so every pendant
         # descendant keys incrementally (and peeks the duplicate registry)
         # instead of re-running the batch unicyclic canonicalisation.  The
-        # batch build here is net-neutral — _canonical_keys would otherwise
+        # batch build here is net-neutral — _canonical_key would otherwise
         # compute the same key from scratch for this very state.
         if pattern.num_edges() == pattern.num_vertices():
             started = time.perf_counter()

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.orders import canonical_label_orientation
-from repro.graph.canonical import (
-    TreeEncodings,
-    UnicyclicEncodings,
-    canonical_key,
-    tree_encodings,
-)
+from repro.graph.canonical import TreeEncodings, UnicyclicEncodings, canonical_key
 from repro.graph.embeddings import Embedding, EmbeddingTable, LazyEmbeddings
 from repro.graph.labeled_graph import LabeledGraph, VertexId
 
@@ -177,7 +172,7 @@ class GrowthState:
     # O(depth) per pendant extension instead of re-canonicalising the whole
     # tree (see repro.graph.canonical.TreeEncodings).  ``None`` once a
     # cycle-closing edge lands (those patterns carry ``cycle_encodings`` or
-    # take the batch cycle-rank ladder) or when an incremental derivation was
+    # take the batch ``canonical_key``) or when an incremental derivation was
     # not possible.  Runtime-only: never serialised, shared by reference
     # across copies (immutable).
     tree_encodings: Optional[TreeEncodings] = None
@@ -337,5 +332,5 @@ def initial_state_from_path(path: PathPattern) -> GrowthState:
         invariant_verified=True,
         # Seed the incremental canonical-key fast path: every pendant
         # extension derives its key from these encodings in O(depth).
-        tree_encodings=tree_encodings(graph),
+        tree_encodings=TreeEncodings.from_tree(graph),
     )

@@ -10,24 +10,222 @@ benchmarks beat.
 The enumeration is edge-set based: patterns are grown by adding one data edge
 at a time to a connected occurrence, occurrences are grouped by the pattern's
 minimum DFS code, and support is the number of distinct occurrences (or
-transactions) exactly as in :class:`repro.core.database.MiningContext`.  The
-grouping deliberately bypasses :func:`repro.graph.canonical.canonical_key`:
-the oracle shares no code with the cycle-rank ladder the miners key by.
+transactions) exactly as in :class:`repro.core.database.MiningContext`.
+
+The minimum DFS code [Yan & Han, ICDM 2002] lives here, not in
+:mod:`repro.graph.canonical`: it is exact for every graph but exponential on
+symmetric ones, so it is the oracle's key only.  The grouping deliberately
+bypasses :func:`repro.graph.canonical.canonical_key`, so the oracle shares no
+code with the canonical form the miners key by, and the canonical-form tests
+keep the DFS code as an independent reference.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.database import MiningContext, SupportMeasure
 from repro.core.diameter import canonical_diameter, is_l_long_delta_skinny
 from repro.core.patterns import SkinnyPattern
-from repro.graph.canonical import CanonicalCode, minimum_dfs_code
 from repro.graph.embeddings import Embedding
-from repro.graph.labeled_graph import LabeledGraph, VertexId
+from repro.graph.labeled_graph import Label, LabeledGraph, VertexId
 
 EdgeKey = Tuple[VertexId, VertexId]
 Occurrence = Tuple[int, FrozenSet[EdgeKey]]
+DFSEdge = Tuple[int, int, str, str, str]
+
+
+def _label_key(label: Optional[Label]) -> str:
+    """Normalise a label to a string for lexicographic comparison."""
+    return "" if label is None else str(label)
+
+
+@dataclass(frozen=True)
+class CanonicalCode:
+    """The canonical (minimum) DFS code of a graph, usable as a dict key."""
+
+    code: Tuple[DFSEdge, ...]
+    num_vertices: int
+    isolated_labels: Tuple[str, ...]
+
+    def __lt__(self, other: "CanonicalCode") -> bool:
+        return (
+            _code_key(self.code),
+            self.isolated_labels,
+        ) < (_code_key(other.code), other.isolated_labels)
+
+
+def _edge_sort_key(edge: DFSEdge) -> Tuple:
+    """gSpan edge order key for a single DFS-code edge.
+
+    Backward edges (j < i) sort before forward edges from the same vertex;
+    among forward edges smaller source index (deeper rightmost-path vertex is
+    *larger* i, so smaller i means earlier) — the standard gSpan total order
+    is realised by comparing these keys tuple-wise.
+    """
+    i, j, li, le, lj = edge
+    forward = 1 if i < j else 0
+    if forward:
+        return (forward, j, i, li, le, lj)
+    return (forward, i, j, li, le, lj)
+
+
+def _code_key(code: Sequence[DFSEdge]) -> Tuple:
+    return tuple(_edge_sort_key(edge) for edge in code)
+
+
+def _candidate_roots(graph: LabeledGraph) -> List[VertexId]:
+    """Vertices whose label is lexicographically minimal (valid DFS roots)."""
+    best_label = min(_label_key(graph.label_of(v)) for v in graph.vertices())
+    return [v for v in graph.vertices() if _label_key(graph.label_of(v)) == best_label]
+
+
+def _min_code_from_root(graph: LabeledGraph, root: VertexId) -> Tuple[DFSEdge, ...]:
+    """Smallest DFS code over traversals rooted at ``root`` (branch and bound).
+
+    The search enumerates every DFS traversal rooted at ``root`` (extensions
+    are restricted to the rightmost path as usual for DFS codes) and keeps the
+    lexicographically smallest complete code.  Branches whose prefix already
+    compares greater than the best code's prefix of equal length are pruned —
+    a sound cut because code comparison is lexicographic edge by edge and all
+    complete codes have exactly ``|E|`` edges.  Some partial traversals are
+    dead ends (an unused edge hangs off a vertex that has left the rightmost
+    path); those branches simply do not produce a candidate.
+    """
+    best: List[Optional[Tuple[DFSEdge, ...]]] = [None]
+    best_key: List[Optional[Tuple]] = [None]
+    total_edges = graph.num_edges()
+
+    def recurse(
+        code: List[DFSEdge],
+        discovery: Dict[VertexId, int],
+        rightmost_path: List[VertexId],
+        used_edges: set,
+    ) -> None:
+        if best_key[0] is not None and code:
+            current_key = _code_key(code)
+            prefix_key = best_key[0][: len(code)]
+            if current_key > prefix_key:
+                return
+        if len(used_edges) == total_edges:
+            candidate = tuple(code)
+            candidate_key = _code_key(candidate)
+            if best_key[0] is None or candidate_key < best_key[0]:
+                best[0] = candidate
+                best_key[0] = candidate_key
+            return
+
+        extensions: List[Tuple[Tuple, DFSEdge, VertexId, VertexId]] = []
+        # Backward edges may only leave the rightmost vertex and land on the
+        # rightmost path.
+        rightmost = rightmost_path[-1]
+        rightmost_set = set(rightmost_path)
+        for neighbor in graph.neighbors(rightmost):
+            key = frozenset((rightmost, neighbor))
+            if key in used_edges:
+                continue
+            if neighbor in rightmost_set:
+                edge = (
+                    discovery[rightmost],
+                    discovery[neighbor],
+                    _label_key(graph.label_of(rightmost)),
+                    _label_key(graph.edge_label(rightmost, neighbor)),
+                    _label_key(graph.label_of(neighbor)),
+                )
+                extensions.append((_edge_sort_key(edge), edge, rightmost, neighbor))
+        # Forward edges may leave any vertex on the rightmost path.
+        for path_vertex in rightmost_path:
+            for neighbor in graph.neighbors(path_vertex):
+                key = frozenset((path_vertex, neighbor))
+                if key in used_edges or neighbor in discovery:
+                    continue
+                edge = (
+                    discovery[path_vertex],
+                    len(discovery),
+                    _label_key(graph.label_of(path_vertex)),
+                    _label_key(graph.edge_label(path_vertex, neighbor)),
+                    _label_key(graph.label_of(neighbor)),
+                )
+                extensions.append((_edge_sort_key(edge), edge, path_vertex, neighbor))
+
+        extensions.sort(key=lambda item: item[0])
+        for _, edge, source, target in extensions:
+            i, j = edge[0], edge[1]
+            is_forward = i < j
+            used_edges.add(frozenset((source, target)))
+            code.append(edge)
+            if is_forward:
+                discovery[target] = j
+                # Rightmost path becomes root -> ... -> source -> target.
+                source_index = rightmost_path.index(source)
+                new_rightmost = rightmost_path[: source_index + 1] + [target]
+                recurse(code, discovery, new_rightmost, used_edges)
+                del discovery[target]
+            else:
+                recurse(code, discovery, rightmost_path, used_edges)
+            code.pop()
+            used_edges.discard(frozenset((source, target)))
+
+    recurse([], {root: 0}, [root], set())
+    if best[0] is None:
+        return tuple()
+    return best[0]
+
+
+def minimum_dfs_code(graph: LabeledGraph) -> CanonicalCode:
+    """Return the canonical (minimum) DFS code of ``graph``.
+
+    The lexicographically smallest DFS code over all rooted DFS traversals:
+    a sequence of ``(i, j, l_i, l_e, l_j)`` edges with DFS discovery indices
+    ``i``/``j`` (forward edges ``i < j``) and vertex/edge labels (``None``
+    compared as the empty string).  Isolated vertices carry no edges, so
+    they are recorded separately as a sorted label tuple; the code itself
+    covers every edge of the graph.  Isomorphic graphs produce equal
+    ``CanonicalCode`` values, non-isomorphic graphs produce different ones
+    (for connected labeled graphs, this is the gSpan canonical form;
+    components are encoded independently and sorted).  Exponential in the
+    worst case: the oracle's key only.
+    """
+    isolated = tuple(
+        sorted(
+            _label_key(graph.label_of(v))
+            for v in graph.vertices()
+            if graph.degree(v) == 0
+        )
+    )
+    if graph.num_edges() == 0:
+        return CanonicalCode(code=(), num_vertices=graph.num_vertices(), isolated_labels=isolated)
+
+    component_codes: List[Tuple[DFSEdge, ...]] = []
+    for component in graph.connected_components():
+        if len(component) == 1:
+            continue
+        subgraph = graph.subgraph(component)
+        best: Optional[Tuple[DFSEdge, ...]] = None
+        for root in _candidate_roots(subgraph):
+            candidate = _min_code_from_root(subgraph, root)
+            if best is None or _code_key(candidate) < _code_key(best):
+                best = candidate
+        component_codes.append(best if best is not None else tuple())
+
+    component_codes.sort(key=_code_key)
+    flat: List[DFSEdge] = []
+    for offset, code in enumerate(component_codes):
+        # Offset vertex indices per component so concatenation stays unambiguous.
+        shift = sum(
+            max((max(e[0], e[1]) for e in earlier), default=-1) + 1
+            for earlier in component_codes[:offset]
+        )
+        for i, j, li, le, lj in code:
+            flat.append((i + shift, j + shift, li, le, lj))
+    return CanonicalCode(
+        code=tuple(flat),
+        num_vertices=graph.num_vertices(),
+        isolated_labels=isolated,
+    )
+
+
 
 
 def _edge_key(u: VertexId, v: VertexId) -> EdgeKey:

@@ -1,305 +1,37 @@
 """Canonical forms for labeled graphs: one exact key, dispatched on cycle rank.
 
-Every "have I generated this pattern before?" check goes through one ladder
-of exact canonical forms, picked by the cycle rank ``|E| - |V| + 1`` of a
-connected graph: :func:`tree_canonical_key` (rank 0, AHU encoding rooted at
-the centre), :func:`unicyclic_canonical_key` (rank 1, minimal
-rotation/reflection of the cycle's hanging-tree encodings) and
-:func:`bicyclic_canonical_key` (rank 2, figure-eight, theta or dumbbell
-core).  Each rung is exact — equal keys iff labeled isomorphism — and
-near-linear.  :func:`ladder_key` is that dispatch alone, ``None`` where no
-rung applies (rank >= 3, disconnected or empty graphs).
+Every "have I generated this pattern before?" check goes through
+:func:`canonical_key`: a hashable key, equal for two graphs iff they are
+isomorphic as labeled graphs (vertex and edge labels both count).  It has
+three cases, picked by the cycle rank ``|E| - |V| + 1``:
 
-:func:`canonical_key` is the one public canonical form.  Where the ladder
-returns ``None`` it falls back to gSpan's minimum DFS code [Yan & Han, ICDM
-2002] (:func:`minimum_dfs_code`), exact for every graph but exponential in
-the worst case.  LevelGrow's duplicate registry never takes that fallback:
-it buckets rank >= 3 patterns by :func:`wl_signature` and confirms
-collisions with VF2.  :class:`TreeEncodings` and :class:`UnicyclicEncodings`
-let the growth loop derive a one-leaf extension's key in O(depth).
+* a connected graph of rank 0 takes :func:`tree_canonical_key`, the AHU
+  encoding rooted at the tree's centre;
+* a connected graph of rank 1 takes :func:`unicyclic_canonical_key`, the
+  smallest rotation/reflection of the cycle's hanging-tree encodings;
+* every other graph (two or more cycles, several components, no vertex at
+  all) takes :func:`refinement_canonical_key`, a canonical labeller by
+  individualisation and refinement after McKay & Piperno, "Practical graph
+  isomorphism, II" (J. Symb. Comput. 2014).
+
+The two rungs are near-linear, and :class:`TreeEncodings` and
+:class:`UnicyclicEncodings` let the growth loop derive a one-leaf
+extension's key in O(depth).  The labeller prunes its search with the
+automorphisms it finds, so symmetric patterns such as K_n, grids or unions
+of equal parts stay cheap.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.graph.labeled_graph import Label, LabeledGraph, VertexId
-
-DFSEdge = Tuple[int, int, str, str, str]
 
 
 def _label_key(label: Optional[Label]) -> str:
     """Normalise a label to a string for lexicographic comparison."""
     return "" if label is None else str(label)
-
-
-@dataclass(frozen=True)
-class CanonicalCode:
-    """The canonical (minimum) DFS code of a graph, usable as a dict key."""
-
-    code: Tuple[DFSEdge, ...]
-    num_vertices: int
-    isolated_labels: Tuple[str, ...]
-
-    def __lt__(self, other: "CanonicalCode") -> bool:
-        return (
-            _code_key(self.code),
-            self.isolated_labels,
-        ) < (_code_key(other.code), other.isolated_labels)
-
-
-def _edge_sort_key(edge: DFSEdge) -> Tuple:
-    """gSpan edge order key for a single DFS-code edge.
-
-    Backward edges (j < i) sort before forward edges from the same vertex;
-    among forward edges smaller source index (deeper rightmost-path vertex is
-    *larger* i, so smaller i means earlier) — the standard gSpan total order
-    is realised by comparing these keys tuple-wise.
-    """
-    i, j, li, le, lj = edge
-    forward = 1 if i < j else 0
-    if forward:
-        return (forward, j, i, li, le, lj)
-    return (forward, i, j, li, le, lj)
-
-
-def _code_key(code: Sequence[DFSEdge]) -> Tuple:
-    return tuple(_edge_sort_key(edge) for edge in code)
-
-
-def _candidate_roots(graph: LabeledGraph) -> List[VertexId]:
-    """Vertices whose label is lexicographically minimal (valid DFS roots)."""
-    best_label = min(_label_key(graph.label_of(v)) for v in graph.vertices())
-    return [v for v in graph.vertices() if _label_key(graph.label_of(v)) == best_label]
-
-
-def _min_code_from_root(graph: LabeledGraph, root: VertexId) -> Tuple[DFSEdge, ...]:
-    """Smallest DFS code over traversals rooted at ``root`` (branch and bound).
-
-    The search enumerates every DFS traversal rooted at ``root`` (extensions
-    are restricted to the rightmost path as usual for DFS codes) and keeps the
-    lexicographically smallest complete code.  Branches whose prefix already
-    compares greater than the best code's prefix of equal length are pruned —
-    a sound cut because code comparison is lexicographic edge by edge and all
-    complete codes have exactly ``|E|`` edges.  Some partial traversals are
-    dead ends (an unused edge hangs off a vertex that has left the rightmost
-    path); those branches simply do not produce a candidate.
-    """
-    best: List[Optional[Tuple[DFSEdge, ...]]] = [None]
-    best_key: List[Optional[Tuple]] = [None]
-    total_edges = graph.num_edges()
-
-    def recurse(
-        code: List[DFSEdge],
-        discovery: Dict[VertexId, int],
-        rightmost_path: List[VertexId],
-        used_edges: set,
-    ) -> None:
-        if best_key[0] is not None and code:
-            current_key = _code_key(code)
-            prefix_key = best_key[0][: len(code)]
-            if current_key > prefix_key:
-                return
-        if len(used_edges) == total_edges:
-            candidate = tuple(code)
-            candidate_key = _code_key(candidate)
-            if best_key[0] is None or candidate_key < best_key[0]:
-                best[0] = candidate
-                best_key[0] = candidate_key
-            return
-
-        extensions: List[Tuple[Tuple, DFSEdge, VertexId, VertexId]] = []
-        # Backward edges may only leave the rightmost vertex and land on the
-        # rightmost path.
-        rightmost = rightmost_path[-1]
-        rightmost_set = set(rightmost_path)
-        for neighbor in graph.neighbors(rightmost):
-            key = frozenset((rightmost, neighbor))
-            if key in used_edges:
-                continue
-            if neighbor in rightmost_set:
-                edge = (
-                    discovery[rightmost],
-                    discovery[neighbor],
-                    _label_key(graph.label_of(rightmost)),
-                    _label_key(graph.edge_label(rightmost, neighbor)),
-                    _label_key(graph.label_of(neighbor)),
-                )
-                extensions.append((_edge_sort_key(edge), edge, rightmost, neighbor))
-        # Forward edges may leave any vertex on the rightmost path.
-        for path_vertex in rightmost_path:
-            for neighbor in graph.neighbors(path_vertex):
-                key = frozenset((path_vertex, neighbor))
-                if key in used_edges or neighbor in discovery:
-                    continue
-                edge = (
-                    discovery[path_vertex],
-                    len(discovery),
-                    _label_key(graph.label_of(path_vertex)),
-                    _label_key(graph.edge_label(path_vertex, neighbor)),
-                    _label_key(graph.label_of(neighbor)),
-                )
-                extensions.append((_edge_sort_key(edge), edge, path_vertex, neighbor))
-
-        extensions.sort(key=lambda item: item[0])
-        for _, edge, source, target in extensions:
-            i, j = edge[0], edge[1]
-            is_forward = i < j
-            used_edges.add(frozenset((source, target)))
-            code.append(edge)
-            if is_forward:
-                discovery[target] = j
-                # Rightmost path becomes root -> ... -> source -> target.
-                source_index = rightmost_path.index(source)
-                new_rightmost = rightmost_path[: source_index + 1] + [target]
-                recurse(code, discovery, new_rightmost, used_edges)
-                del discovery[target]
-            else:
-                recurse(code, discovery, rightmost_path, used_edges)
-            code.pop()
-            used_edges.discard(frozenset((source, target)))
-
-    recurse([], {root: 0}, [root], set())
-    if best[0] is None:
-        return tuple()
-    return best[0]
-
-
-def minimum_dfs_code(graph: LabeledGraph) -> CanonicalCode:
-    """Return the canonical (minimum) DFS code of ``graph``.
-
-    The lexicographically smallest DFS code over all rooted DFS traversals:
-    a sequence of ``(i, j, l_i, l_e, l_j)`` edges with DFS discovery indices
-    ``i``/``j`` (forward edges ``i < j``) and vertex/edge labels (``None``
-    compared as the empty string).  Isolated vertices carry no edges, so
-    they are recorded separately as a sorted label tuple; the code itself
-    covers every edge of the graph.  Isomorphic graphs produce equal
-    ``CanonicalCode`` values, non-isomorphic graphs produce different ones
-    (for connected labeled graphs, this is the gSpan canonical form;
-    components are encoded independently and sorted).  Exponential in the
-    worst case: :func:`canonical_key`'s fallback and the oracle's key only.
-    """
-    isolated = tuple(
-        sorted(
-            _label_key(graph.label_of(v))
-            for v in graph.vertices()
-            if graph.degree(v) == 0
-        )
-    )
-    if graph.num_edges() == 0:
-        return CanonicalCode(code=(), num_vertices=graph.num_vertices(), isolated_labels=isolated)
-
-    component_codes: List[Tuple[DFSEdge, ...]] = []
-    for component in graph.connected_components():
-        if len(component) == 1:
-            continue
-        subgraph = graph.subgraph(component)
-        best: Optional[Tuple[DFSEdge, ...]] = None
-        for root in _candidate_roots(subgraph):
-            candidate = _min_code_from_root(subgraph, root)
-            if best is None or _code_key(candidate) < _code_key(best):
-                best = candidate
-        component_codes.append(best if best is not None else tuple())
-
-    component_codes.sort(key=_code_key)
-    flat: List[DFSEdge] = []
-    for offset, code in enumerate(component_codes):
-        # Offset vertex indices per component so concatenation stays unambiguous.
-        shift = sum(
-            max((max(e[0], e[1]) for e in earlier), default=-1) + 1
-            for earlier in component_codes[:offset]
-        )
-        for i, j, li, le, lj in code:
-            flat.append((i + shift, j + shift, li, le, lj))
-    return CanonicalCode(
-        code=tuple(flat),
-        num_vertices=graph.num_vertices(),
-        isolated_labels=isolated,
-    )
-
-
-def wl_signature(graph: LabeledGraph, rounds: int = 2) -> Tuple:
-    """A cheap isomorphism-*invariant* signature (Weisfeiler–Lehman colouring).
-
-    Isomorphic graphs always produce equal signatures; non-isomorphic graphs
-    usually (but not provably) produce different ones, so the signature is a
-    hash-bucket key, not a canonical form.  LevelGrow's duplicate registry
-    uses it as the rung above the exact ladder: patterns of cycle rank >= 3,
-    for which :func:`ladder_key` returns ``None``, are bucketed by signature
-    and collisions confirmed with :func:`repro.graph.isomorphism.are_isomorphic`
-    (see ``PatternRegistry`` in the LevelGrow module).
-
-    The colour of a vertex starts as its (label, degree) pair and is refined
-    ``rounds`` times from the multiset of neighbour colours; the signature
-    records, for *every* round, the sorted colour histogram **and** the
-    sorted histogram of per-edge colour pairs (the whole refinement
-    trajectory discriminates far better than the final round alone).  The
-    edge-pair histograms matter in practice: the growth engine's cyclic
-    patterns — a diameter path with twigs and one cycle-closing edge — often
-    share every vertex-colour histogram while wiring the colour classes
-    differently, and the vertex-only signature once produced collision
-    buckets over a hundred deep, each member paying an exact isomorphism
-    test.  Recording which colour pairs the edges connect collapses those
-    buckets to near-singletons.  Colours are compressed to canonical small
-    integers each round — the palette is assigned in sorted key order, so
-    the numbering, and therefore the signature, is independent of vertex
-    iteration order — which keeps refinement allocation-light: the growth
-    engine computes one signature per candidate pattern.  Two refinement
-    rounds are the default: with the edge-pair histograms in place the third
-    round no longer separated any bucket in practice, and the signature is
-    on the per-candidate hot path.
-    """
-    vertices = list(graph.vertices())
-    degree = graph.degree
-    initial = {
-        vertex: (_label_key(graph.label_of(vertex)), degree(vertex))
-        for vertex in vertices
-    }
-    palette: Dict[object, int] = {
-        key: index for index, key in enumerate(sorted(set(initial.values())))
-    }
-    colors: Dict[VertexId, int] = {
-        vertex: palette[initial[vertex]] for vertex in vertices
-    }
-    neighbors = graph.neighbors
-    edges = [edge.endpoints() for edge in graph.edges()]
-
-    def edge_pair_histogram(coloring: Dict[VertexId, int]) -> Tuple:
-        histogram: Dict[Tuple[int, int], int] = {}
-        for u, v in edges:
-            cu, cv = coloring[u], coloring[v]
-            pair = (cu, cv) if cu <= cv else (cv, cu)
-            histogram[pair] = histogram.get(pair, 0) + 1
-        return tuple(sorted(histogram.items()))
-
-    histograms: List[Tuple] = [
-        (_color_histogram(colors), edge_pair_histogram(colors))
-    ]
-    for _ in range(rounds):
-        keys = {
-            vertex: (
-                colors[vertex],
-                tuple(sorted(colors[neighbor] for neighbor in neighbors(vertex))),
-            )
-            for vertex in vertices
-        }
-        palette = {key: index for index, key in enumerate(sorted(set(keys.values())))}
-        colors = {vertex: palette[keys[vertex]] for vertex in vertices}
-        histograms.append((_color_histogram(colors), edge_pair_histogram(colors)))
-    return (
-        graph.num_vertices(),
-        graph.num_edges(),
-        tuple(histograms),
-    )
-
-
-def _color_histogram(colors: Dict[VertexId, int]) -> Tuple:
-    histogram: Dict[int, int] = {}
-    for color in colors.values():
-        histogram[color] = histogram.get(color, 0) + 1
-    return tuple(sorted(histogram.items()))
 
 
 def _tree_centers(
@@ -340,8 +72,7 @@ def tree_canonical_key(tree: LabeledGraph) -> Tuple:
 
     The growth engine's duplicate registry relies on this as its fast exact
     path: grown skinny patterns are overwhelmingly trees (a diameter plus
-    twigs), and the minimum-DFS-code fallback is exponential in the worst
-    case while the AHU key never is.
+    twigs), and the AHU key needs no search at all.
     """
     order = tree.num_vertices()
     if order == 0:
@@ -393,39 +124,6 @@ def _make_edge_key(graph: LabeledGraph):
     return edge_key
 
 
-def _hanging_encoding(
-    graph: LabeledGraph, core_set, root: VertexId, edge_key
-) -> Tuple:
-    """Rooted AHU encoding of the tree hanging off core vertex ``root``.
-
-    The traversal never crosses into ``core_set``, so each core vertex's
-    hanging tree is encoded independently; the root's own label heads the
-    encoding, making it a complete invariant of (core vertex, its tree).
-    """
-    parent: Dict[VertexId, Optional[VertexId]] = {root: None}
-    ordering = [root]
-    for vertex in ordering:
-        for neighbor in graph.neighbors(vertex):
-            if neighbor not in parent and neighbor not in core_set:
-                parent[neighbor] = vertex
-                ordering.append(neighbor)
-    encoding: Dict[VertexId, Tuple] = {}
-    for vertex in reversed(ordering):
-        up = parent[vertex]
-        encoding[vertex] = (
-            _label_key(graph.label_of(vertex)),
-            "" if up is None else edge_key(vertex, up),
-            tuple(
-                sorted(
-                    encoding[child]
-                    for child in graph.neighbors(vertex)
-                    if parent.get(child) == vertex
-                )
-            ),
-        )
-    return encoding[root]
-
-
 def unicyclic_canonical_key(graph: LabeledGraph) -> Tuple:
     """Exact canonical key for a *connected* graph with exactly one cycle.
 
@@ -437,8 +135,8 @@ def unicyclic_canonical_key(graph: LabeledGraph) -> Tuple:
     ``(hanging-tree AHU encoding, next-cycle-edge label)``.  Exactly the
     duplicate-registry trick :func:`tree_canonical_key` plays for trees, one
     cycle up: the growth engine's cycle-closing candidates are almost always
-    unicyclic, and this key spares them the WL-bucket + VF2 confirmation.
-    It is the key of the batch-built :class:`UnicyclicEncodings`, which the
+    unicyclic, and this key spares them the labeller's search.  It is the
+    key of the batch-built :class:`UnicyclicEncodings`, which the
     growth loop then extends one pendant leaf at a time.
 
     Raises ``ValueError`` when the edge count is wrong or the graph is
@@ -485,166 +183,139 @@ def _cycle_rotation_key(trees: List[Tuple], edges: List[str]) -> Tuple:
     return ("u", length, best)
 
 
-def bicyclic_canonical_key(graph: LabeledGraph) -> Tuple:
-    """Exact canonical key for a *connected* graph with ``|E| = |V| + 1``.
+def refinement_canonical_key(graph: LabeledGraph) -> Tuple:
+    """Exact canonical key of any labeled graph, by individualisation–refinement.
 
-    Such a graph carries exactly two independent cycles.  Its 2-core (strip
-    degree-1 vertices, keep what survives) has total degree excess 2 over a
-    disjoint union of cycles, so it takes one of exactly three shapes:
+    The search follows McKay & Piperno, "Practical graph isomorphism, II"
+    (J. Symb. Comput. 2014), in five steps:
 
-    * **figure-eight** — one branch vertex of core degree 4 where two
-      otherwise-disjoint cycles meet;
-    * **theta** — two branch vertices of core degree 3 joined by three
-      internally disjoint strands;
-    * **dumbbell** — two branch vertices of core degree 3, each on its own
-      cycle, joined by a (possibly single-edge) bridge path.
+    1. Colours start from the vertex labels and are refined to an equitable
+       partition: a vertex's next colour orders it by its colour and the
+       sorted multiset of ``(edge label, neighbour colour)`` pairs.  A colour
+       is the start position of its cell, so cells never change order.
+    2. Each vertex of the first smallest non-singleton cell is individualised
+       in turn (moved to the front of its cell), and the search recurses.
+    3. A leaf is a discrete partition, i.e. a numbering of the vertices.  Its
+       certificate is the sorted ``(i, j, edge label)`` triples, ``i < j``,
+       under that numbering; the smallest one is kept.  The labels in
+       canonical order complete the key; they are the same at every leaf,
+       because refinement never reorders the label classes.
+    4. A child in the same orbit as an explored sibling, under the
+       automorphisms found so far that fix the node's prefix, is skipped:
+       such an automorphism maps the sibling's subtree onto the child's.
+    5. A leaf whose certificate equals the best one yields an automorphism
+       (same position, same vertex) and unwinds the search to the two
+       leaves' deepest common ancestor: the automorphism fixes that
+       ancestor's prefix and maps its explored branch onto the current one.
 
-    Every isomorphism maps core to core, branch vertices to branch vertices
-    and strands to strands of the same kind, so a canonical form needs only
-    (a) the rooted AHU encoding of each core vertex's hanging tree — the same
-    :func:`tree_canonical_key` construction the unicyclic key reuses — and
-    (b) a canonical ordering of the strands: loops are minimised over their
-    two directions, strand multisets are sorted, and the whole encoding is
-    minimised over the (at most two) branch-vertex orderings.  Equal keys
-    therefore imply isomorphism (the encoding reconstructs the labeled graph
-    up to isomorphism) and isomorphic graphs get equal keys (every remaining
-    choice is canonicalised away) — which is what lets the growth engine's
-    duplicate registry retire VF2 confirmation for bicyclic patterns.
-
-    Raises ``ValueError`` when the edge count is wrong or the graph is
-    disconnected (``|E| = |V| + 1`` also fits a unicyclic graph plus a
-    separate cycle, which has no exact two-cycle core).
+    Each step commutes with renumbering, so isomorphic graphs get equal
+    keys; a certificate rebuilds the graph, so equal keys mean isomorphic
+    graphs.  Step 5 is what keeps many interchangeable vertices (the leaves
+    of a star, the parts of a disjoint union) from multiplying the search.
     """
-    order = graph.num_vertices()
-    if graph.num_edges() != order + 1 or not graph.is_connected():
-        raise ValueError(
-            "bicyclic_canonical_key requires a connected graph with |E| = |V| + 1"
-        )
-
-    degrees = _strip_to_core(graph)
-    core_set = {vertex for vertex, deg in degrees.items() if deg >= 2}
-    branch_set = {vertex for vertex in core_set if degrees[vertex] >= 3}
-    branches = sorted(branch_set)
-
+    vertices = list(graph.vertices())
+    order = len(vertices)
+    index = {vertex: position for position, vertex in enumerate(vertices)}
+    labels = [_label_key(graph.label_of(vertex)) for vertex in vertices]
     edge_key = _make_edge_key(graph)
-    enc = {
-        vertex: _hanging_encoding(graph, core_set, vertex, edge_key)
-        for vertex in core_set
-    }
+    adjacency = [
+        [(edge_key(vertex, neighbor), index[neighbor]) for neighbor in graph.neighbors(vertex)]
+        for vertex in vertices
+    ]
+    edges = [(i, j, label) for i, row in enumerate(adjacency) for label, j in row if i < j]
 
-    # Walk every strand (maximal core path whose interior avoids branch
-    # vertices) exactly once; each is recorded with its entry direction and
-    # the reverse entry is marked consumed.
-    core_adjacency = {
-        vertex: [n for n in graph.neighbors(vertex) if n in core_set]
-        for vertex in core_set
-    }
-    consumed: set = set()
-    loops: Dict[VertexId, List[List[VertexId]]] = {b: [] for b in branches}
-    links: List[Tuple[VertexId, VertexId, List[VertexId]]] = []
-    for source in branches:
-        for first in core_adjacency[source]:
-            if (source, first) in consumed:
-                continue
-            consumed.add((source, first))
-            interior: List[VertexId] = []
-            previous, current = source, first
-            while current not in branch_set:
-                interior.append(current)
-                step = next(
-                    n for n in core_adjacency[current] if n != previous
-                )
-                previous, current = current, step
-            consumed.add((current, previous))
-            if current == source:
-                loops[source].append(interior)
-            else:
-                links.append((source, current, interior))
+    def refine(colors: List[int]) -> Tuple[List[int], int]:
+        """The equitable refinement of ``colors`` and its number of cells."""
+        cells = len(set(colors))
+        while cells < order:
+            signatures = [
+                (colors[v], tuple(sorted([(label, colors[w]) for label, w in adjacency[v]])))
+                for v in range(order)
+            ]
+            start: Dict[Tuple, int] = {}
+            for position, signature in enumerate(sorted(signatures)):
+                start.setdefault(signature, position)
+            if len(start) == cells:
+                break
+            cells = len(start)
+            colors = [start[signature] for signature in signatures]
+        return colors, cells
 
-    def strand_encoding(
-        start: VertexId, interior: List[VertexId], end: VertexId
-    ) -> Tuple:
-        """Alternating (edge label, interior-tree encoding) walk start→end."""
-        parts: List[object] = []
-        previous = start
-        for vertex in interior:
-            parts.append(edge_key(previous, vertex))
-            parts.append(enc[vertex])
-            previous = vertex
-        parts.append(edge_key(previous, end))
-        return tuple(parts)
+    # The best leaf so far: its certificate, its individualised vertices
+    # and the vertex at each position.
+    best: List = []
+    automorphisms: List[List[int]] = []
 
-    def loop_encoding(anchor: VertexId, interior: List[VertexId]) -> Tuple:
-        """A loop's encoding, minimised over its two traversal directions."""
-        return min(
-            strand_encoding(anchor, interior, anchor),
-            strand_encoding(anchor, interior[::-1], anchor),
-        )
-
-    if len(branches) == 1:
-        anchor = branches[0]
-        pair = sorted(loop_encoding(anchor, interior) for interior in loops[anchor])
-        return ("b", "8", enc[anchor], tuple(pair))
-
-    u, w = branches
-    if links and len(links) == 3:
-        candidates = []
-        for first, second in ((u, w), (w, u)):
-            strands = sorted(
-                strand_encoding(
-                    first, interior if start == first else interior[::-1], second
-                )
-                for start, _, interior in links
+    def search(colors: List[int], path: List[int]) -> Optional[int]:
+        """Explore one node; return the depth to unwind to, if any."""
+        colors, cells = refine(colors)
+        if cells == order:
+            certificate = sorted(
+                (a, b, label) if a < b else (b, a, label)
+                for a, b, label in ((colors[i], colors[j], label) for i, j, label in edges)
             )
-            candidates.append((enc[first], enc[second], tuple(strands)))
-        return ("b", "theta", min(candidates))
+            if not best or certificate < best[0]:
+                at = [0] * order
+                for vertex, position in enumerate(colors):
+                    at[position] = vertex
+                best[:] = [certificate, path, at]
+                return None
+            if certificate != best[0]:
+                return None
+            at = best[2]
+            automorphisms.append([at[position] for position in colors])
+            common = 0
+            while path[common] == best[1][common]:
+                common += 1
+            return common
+        sizes: Dict[int, int] = {}
+        for color in colors:
+            sizes[color] = sizes.get(color, 0) + 1
+        target = min((size, color) for color, size in sizes.items() if size > 1)[1]
+        depth = len(path)
+        explored: List[int] = []
+        for vertex in [v for v in range(order) if colors[v] == target]:
+            if explored:
+                generators = [g for g in automorphisms if all(g[u] == u for u in path)]
+                orbit = set(explored)
+                stack = list(explored)
+                while stack:
+                    current = stack.pop()
+                    for generator in generators:
+                        image = generator[current]
+                        if image not in orbit:
+                            orbit.add(image)
+                            stack.append(image)
+                if vertex in orbit:
+                    continue
+            explored.append(vertex)
+            child = [
+                color + 1 if color == target and u != vertex else color
+                for u, color in enumerate(colors)
+            ]
+            unwind = search(child, path + [vertex])
+            if unwind is not None and unwind < depth:
+                return unwind
+        return None
 
-    bridge_start, _, bridge_interior = links[0]
-    candidates = []
-    for first, second in ((u, w), (w, u)):
-        interior = (
-            bridge_interior if bridge_start == first else bridge_interior[::-1]
-        )
-        candidates.append(
-            (
-                enc[first],
-                loop_encoding(first, loops[first][0]),
-                enc[second],
-                loop_encoding(second, loops[second][0]),
-                strand_encoding(first, interior, second),
-            )
-        )
-    return ("b", "dumbbell", min(candidates))
-
-
-def ladder_key(graph: LabeledGraph) -> Optional[Tuple]:
-    """The exact key of the rung matching ``graph``'s cycle rank, else ``None``.
-
-    Cycle rank ``|E| - |V| + 1`` picks :func:`tree_canonical_key` (0),
-    :func:`unicyclic_canonical_key` (1) or :func:`bicyclic_canonical_key`
-    (2).  ``None`` means no exact rung applies: rank >= 3, or a disconnected
-    or empty graph — detected by the ``ValueError`` the rung's own shape
-    check raises, so connected inputs pay no extra connectivity pass.
-    """
-    rank = graph.num_edges() - graph.num_vertices() + 1
-    try:
-        if rank == 0:
-            return tree_canonical_key(graph)
-        if rank == 1:
-            return unicyclic_canonical_key(graph)
-        if rank == 2:
-            return bicyclic_canonical_key(graph)
-    except ValueError:
-        pass
-    return None
+    in_order = sorted(labels)
+    first: Dict[str, int] = {}
+    for position, label in enumerate(in_order):
+        first.setdefault(label, position)
+    search([first[label] for label in labels], [])
+    return ("r", tuple(in_order), tuple(best[0]))
 
 
 def canonical_key(graph: LabeledGraph) -> Tuple:
     """The canonical form: a hashable key, equal iff the graphs are isomorphic.
 
-    The cycle-rank ladder (:func:`ladder_key`) answers every connected graph
-    of rank <= 2; rank >= 3, disconnected and empty graphs fall back to the
-    minimum DFS code.  The first element of every key names its rung.
+    Three cases, by cycle rank ``|E| - |V| + 1``: a connected graph of rank 0
+    takes :func:`tree_canonical_key`, a connected graph of rank 1
+    :func:`unicyclic_canonical_key`, and every other graph
+    :func:`refinement_canonical_key`.  A rung's own shape check rejects a
+    disconnected or empty input with ``ValueError``, so connected inputs pay
+    no extra connectivity pass.  The first element of every key names its
+    case: ``"t"``, ``"u"`` or ``"r"``.
 
     >>> from repro.graph.labeled_graph import build_graph
     >>> square = build_graph(
@@ -659,18 +330,20 @@ def canonical_key(graph: LabeledGraph) -> Tuple:
     ...     {0: "a", 1: "a", 2: "b", 3: "b", 4: "b"},
     ...     [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)],
     ... )
-    >>> k4 = build_graph(
-    ...     {0: "a", 1: "a", 2: "a", 3: "a"},
-    ...     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-    ... )
-    >>> canonical_key(theta)[:2], canonical_key(k4)[0]
-    (('b', 'theta'), 'dfs')
+    >>> canonical_key(square)[0], canonical_key(theta)[0]
+    ('u', 'r')
+    >>> canonical_key(theta)[1:]
+    (('a', 'a', 'b', 'b', 'b'), ((0, 2, ''), (0, 3, ''), (0, 4, ''), (1, 2, ''), (1, 3, ''), (1, 4, '')))
     """
-    key = ladder_key(graph)
-    if key is not None:
-        return key
-    canonical = minimum_dfs_code(graph)
-    return ("dfs", canonical.code, canonical.num_vertices, canonical.isolated_labels)
+    rank = graph.num_edges() - graph.num_vertices() + 1
+    try:
+        if rank == 0:
+            return tree_canonical_key(graph)
+        if rank == 1:
+            return unicyclic_canonical_key(graph)
+    except ValueError:
+        pass
+    return refinement_canonical_key(graph)
 
 
 class TreeEncodings:
@@ -1318,37 +991,6 @@ class UnicyclicEncodings:
         trees = list(self.trees)
         trees[self.pos_of[anchor]] = overlay[anchor]
         return _cycle_rotation_key(trees, self.edges)
-
-
-def tree_encodings(tree: LabeledGraph) -> "TreeEncodings":
-    """Batch-build :class:`TreeEncodings` for ``tree`` (see its docstring)."""
-    return TreeEncodings.from_tree(tree)
-
-
-def tree_canonical_key_incremental(
-    parent_encodings: "TreeEncodings",
-    edge: Tuple,
-) -> "TreeEncodings":
-    """Derive a one-leaf extension's canonical key from its parent's encodings.
-
-    ``edge`` is ``(attach_vertex, new_vertex, vertex_label)`` or
-    ``(attach_vertex, new_vertex, vertex_label, edge_label)``.  Returns the
-    extension's :class:`TreeEncodings`; its ``key`` attribute equals
-    ``tree_canonical_key`` of the extended tree (property-tested over random
-    pendant-extension chains in ``tests/graph/test_canonical.py``), but is
-    derived by re-canonicalising only the attach→root path — O(depth) tuple
-    work — instead of re-encoding every vertex.
-    """
-    if len(edge) == 3:
-        attach, new_vertex, vertex_label = edge
-        edge_label: Optional[Label] = None
-    elif len(edge) == 4:
-        attach, new_vertex, vertex_label, edge_label = edge
-    else:
-        raise ValueError(
-            "edge must be (attach, new_vertex, vertex_label[, edge_label])"
-        )
-    return parent_encodings.extend(attach, new_vertex, vertex_label, edge_label)
 
 
 def _rooted_tree_encoding(tree: LabeledGraph, root: VertexId) -> Tuple:

@@ -26,9 +26,25 @@ from repro.graph.generators import (
     random_skinny_pattern,
     random_transaction_database,
 )
-from repro.graph.isomorphism import is_subgraph_isomorphic
-from repro.graph.labeled_graph import graph_from_paths
+from repro.graph.isomorphism import are_isomorphic, is_subgraph_isomorphic
+from repro.graph.labeled_graph import build_graph, graph_from_paths
 from repro.graph.paths import diameter
+
+
+def label_summary(patterns):
+    """(edges, sorted vertex labels, support) per pattern, sorted."""
+    return sorted(
+        (p.num_edges, "".join(sorted(p.graph.vertex_labels().values())), p.support)
+        for p in patterns
+    )
+
+
+#: Both 3-regular on six one-label vertices, and not isomorphic.
+K33 = build_graph({v: "a" for v in range(6)}, [(u, 3 + w) for u in range(3) for w in range(3)])
+PRISM = build_graph(
+    {v: "a" for v in range(6)},
+    [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
+)
 
 
 def skinny_injected_graph(seed=1, copies=3, backbone=8):
@@ -58,6 +74,21 @@ class TestGSpan:
         miner.mine()
         assert not miner.completed
 
+    def test_patterns_differing_only_in_labels_stay_apart(self):
+        database = [graph_from_paths([list("abc")]), graph_from_paths([list("def")])]
+        patterns = GSpanMiner(database, min_support=1).mine()
+        assert label_summary(patterns) == [
+            (1, "ab", 1), (1, "bc", 1), (1, "de", 1), (1, "ef", 1),
+            (2, "abc", 1), (2, "def", 1),
+        ]
+
+    def test_same_degree_sequences_stay_apart(self):
+        patterns = GSpanMiner([K33, PRISM], 1, max_edges=9).mine()
+        nine_edges = [p for p in patterns if p.num_edges == 9]
+        assert [p.support for p in nine_edges] == [1, 1]
+        assert any(are_isomorphic(p.graph, K33) for p in nine_edges)
+        assert any(are_isomorphic(p.graph, PRISM) for p in nine_edges)
+
 
 class TestMoss:
     def test_complete_single_graph_mining(self):
@@ -73,6 +104,14 @@ class TestMoss:
         miner.mine()
         assert not miner.completed
         assert miner.elapsed_seconds >= 0.0
+
+    def test_patterns_differing_only_in_labels_stay_apart(self):
+        graph = graph_from_paths([list("abc"), list("def")])
+        patterns = MossMiner(graph, min_support=1).mine()
+        assert label_summary(patterns) == [
+            (1, "ab", 1), (1, "bc", 1), (1, "de", 1), (1, "ef", 1),
+            (2, "abc", 1), (2, "def", 1),
+        ]
 
 
 class TestSpiderMine:
@@ -105,6 +144,11 @@ class TestSpiderMine:
     def test_empty_result_when_nothing_frequent(self):
         graph = graph_from_paths([list("ab"), list("cd")])
         assert SpiderMiner(graph, min_support=3, seed=2).mine() == []
+
+    def test_spiders_differing_only_in_labels_stay_apart(self):
+        # a-b and c-d occur once each: neither is frequent at support 2.
+        graph = graph_from_paths([list("ab"), list("cd")])
+        assert SpiderMiner(graph, min_support=2).mine() == []
 
 
 class TestSubdue:

@@ -21,9 +21,10 @@ twig-to-twig canonical-diameter violation (seed 80) that the per-edge
 constraint checks cannot see.
 
 Last, dense planted patterns of cycle rank 3 drive LevelGrow's duplicate
-registry above the exact cycle-rank ladder, onto its WL-signature + VF2
-rung, and pin two open gaps (``xfail(strict=True)``, listed in
-``docs/CORRECTNESS.md``) that those inputs expose.
+registry above the tree and unicyclic rungs, onto the
+individualisation-refinement labeller, and pin two open gaps
+(``xfail(strict=True)``, listed in ``docs/CORRECTNESS.md``) that those
+inputs expose.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ class TestStructuralRegressions:
 
 
 # --------------------------------------------------------------------- #
-# dense planted patterns: LevelGrow's rank >= 3 rung, and two open gaps
+# dense planted patterns: LevelGrow's labeller keys, and two open gaps
 # --------------------------------------------------------------------- #
 DENSE_PARITY_SEEDS = (0, 3, 5, 6, 7)
 DENSE_MAX_EDGES = 9
@@ -321,7 +322,7 @@ def dense_planted(seed):
     """ER(6, 1.0, 3) plus two copies of a 5-vertex a/b path with 3 chords.
 
     The planted pattern has cycle rank 3 (7 edges on 5 vertices), so Stage 2
-    grows patterns above the exact cycle-rank ladder.
+    grows patterns above the tree and unicyclic rungs.
     """
     rng = random.Random(seed)
     pattern = LabeledGraph()
@@ -362,19 +363,21 @@ def cycle_rank(graph):
 class TestDensePlantedPatterns:
     @pytest.mark.parametrize("seed", DENSE_PARITY_SEEDS)
     def test_rank_three_rung_matches_the_oracle(self, seed, monkeypatch):
-        """LevelGrow's registry signs rank >= 3 patterns, and stays exact."""
-        wl_signature = levelgrow.wl_signature
-        signed = []
+        """LevelGrow keys rank >= 2 patterns by the labeller, and stays exact."""
+        batch_key = levelgrow.canonical_key
+        labelled = []
 
-        def counting_wl_signature(graph, *args, **kwargs):
-            signed.append(cycle_rank(graph))
-            return wl_signature(graph, *args, **kwargs)
+        def counting_canonical_key(graph):
+            key = batch_key(graph)
+            labelled.append((key[0], cycle_rank(graph)))
+            return key
 
-        monkeypatch.setattr(levelgrow, "wl_signature", counting_wl_signature)
+        monkeypatch.setattr(levelgrow, "canonical_key", counting_canonical_key)
         data = dense_planted(seed)
         mined = mine_dense(data)
 
-        assert signed and min(signed) >= 3
+        assert labelled and {rung for rung, _ in labelled} == {"r"}
+        assert min(rank for _, rank in labelled) >= 2
         assert [cycle_rank(p.graph) >= 3 for p in mined].count(True) == 1
         for left, right in itertools.combinations(mined, 2):
             assert not are_isomorphic(left.graph, right.graph)

@@ -68,13 +68,11 @@ def serialised(patterns):
 def disable_fast_path(monkeypatch):
     """Monkeypatch the growth engine back to its reference semantics."""
     # No carried encodings: every registry key is batch-recomputed.
-    monkeypatch.setattr(patterns_module, "tree_encodings", lambda graph: None)
+    monkeypatch.setattr(patterns_module.TreeEncodings, "from_tree", lambda graph: None)
 
     # No descriptor memoisation, no pendant incremental verification: every
     # emission recomputes the exact descriptor from scratch, unseeded.
-    def reference_invariant(
-        self, state, exact_key=None, signature=None, parent_state=None, extension=None
-    ):
+    def reference_invariant(self, state, key=None, parent_state=None, extension=None):
         return diameter_descriptor(state.pattern) == (
             state.diameter_len,
             state.diameter_label_sequence(),
@@ -265,6 +263,6 @@ class TestMemoisationSoundness:
         path = build_graph({0: "a", 1: "b", 2: "c"}, [(0, 1), (1, 2)])
         descriptor = diameter_descriptor(path)
         assert descriptor == (2, ("a", "b", "c"))
-        cache.store(path, ("t", "key"), None, descriptor)
-        assert cache.lookup(path, ("t", "key"), None) == descriptor
-        assert cache.lookup(path, ("t", "other"), None) is None
+        cache.store(("t", "key"), descriptor)
+        assert cache.lookup(("t", "key")) == descriptor
+        assert cache.lookup(("t", "other")) is None

@@ -1,4 +1,4 @@
-"""Tests for LevelGrow (Stage II growth) and the pattern registry."""
+"""Tests for LevelGrow (Stage II growth)."""
 
 from __future__ import annotations
 
@@ -10,10 +10,9 @@ from repro.core.levelgrow import (
     ExistingEdgeExtension,
     LevelGrower,
     NewVertexExtension,
-    PatternRegistry,
 )
 from repro.core.patterns import initial_state_from_path
-from repro.graph.labeled_graph import build_graph, graph_from_paths
+from repro.graph.labeled_graph import graph_from_paths
 
 
 def star_data_graph():
@@ -35,22 +34,6 @@ def backbone_path(context, length=2, labels=("a", "b", "c")):
         if path.labels == tuple(labels):
             return path
     raise AssertionError(f"no frequent path with labels {labels}")
-
-
-class TestPatternRegistry:
-    def test_detects_isomorphic_duplicates(self):
-        registry = PatternRegistry()
-        first = build_graph({0: "a", 1: "b"}, [(0, 1)])
-        second = build_graph({7: "b", 9: "a"}, [(7, 9)])
-        assert registry.add_if_new(first)
-        assert not registry.add_if_new(second)
-        assert len(registry) == 1
-
-    def test_distinguishes_non_isomorphic(self):
-        registry = PatternRegistry()
-        assert registry.add_if_new(build_graph({0: "a", 1: "b"}, [(0, 1)]))
-        assert registry.add_if_new(build_graph({0: "a", 1: "c"}, [(0, 1)]))
-        assert len(registry) == 2
 
 
 class TestExtensionsOrdering:

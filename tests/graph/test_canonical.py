@@ -1,26 +1,27 @@
-"""Tests for the canonical forms: the cycle-rank ladder, the minimum DFS code
-fallback, the incremental encodings and the WL signature."""
+"""Tests for the canonical form: the tree and unicyclic rungs with their
+incremental encodings, the individualisation-refinement labeller above them,
+and the minimum DFS code that the reference oracle keys by.
+"""
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from repro.core.reference import CanonicalCode, minimum_dfs_code
 from repro.graph.canonical import (
-    CanonicalCode,
+    TreeEncodings,
     UnicyclicEncodings,
-    bicyclic_canonical_key,
     canonical_key,
-    minimum_dfs_code,
+    refinement_canonical_key,
     tree_canonical_key,
-    tree_canonical_key_incremental,
-    tree_encodings,
     unicyclic_canonical_key,
-    wl_signature,
 )
 from repro.graph.generators import random_skinny_pattern, random_tree_pattern
 from repro.graph.isomorphism import are_isomorphic
@@ -207,16 +208,16 @@ class TestIncrementalTreeKey:
         ):
             if encodings is None:
                 # Chain start: batch-build the 2-vertex tree's encodings.
-                encodings = tree_encodings(graph)
+                encodings = TreeEncodings.from_tree(graph)
             else:
-                encodings = tree_canonical_key_incremental(
-                    encodings, (attach, new_vertex, vertex_label, edge_label)
+                encodings = encodings.extend(
+                    attach, new_vertex, vertex_label, edge_label
                 )
             assert encodings.key == tree_canonical_key(graph)
 
     def test_extend_does_not_mutate_parent(self):
         graph = build_graph({0: "a", 1: "b"}, [(0, 1)])
-        parent = tree_encodings(graph)
+        parent = TreeEncodings.from_tree(graph)
         key_before = parent.key
         root_before = parent.root
         child = parent.extend(0, 2, "c")
@@ -227,10 +228,8 @@ class TestIncrementalTreeKey:
         graph.add_edge(0, 2)
         assert child.key == tree_canonical_key(graph)
 
-    def test_invalid_edge_tuples_rejected(self):
-        parent = tree_encodings(build_graph({0: "a", 1: "b"}, [(0, 1)]))
-        with pytest.raises(ValueError):
-            tree_canonical_key_incremental(parent, (0, 2))
+    def test_rejects_bad_attachments(self):
+        parent = TreeEncodings.from_tree(build_graph({0: "a", 1: "b"}, [(0, 1)]))
         with pytest.raises(ValueError):
             parent.extend(99, 2, "c")  # unknown attachment vertex
         with pytest.raises(ValueError):
@@ -388,6 +387,8 @@ def _random_bicyclic(rng, size, num_labels, edge_labels=False):
 
 
 class TestBicyclicCanonicalKey:
+    """Two-cycle graphs (``|E| = |V| + 1``) through ``canonical_key``."""
+
     @given(
         st.integers(min_value=4, max_value=11),
         st.integers(min_value=1, max_value=3),
@@ -405,7 +406,7 @@ class TestBicyclicCanonicalKey:
         targets = [i + 500 for i in ids]
         rng.shuffle(targets)
         renamed = graph.relabel_vertices(dict(zip(ids, targets)))
-        assert bicyclic_canonical_key(graph) == bicyclic_canonical_key(renamed)
+        assert canonical_key(graph) == canonical_key(renamed)
 
     @given(
         st.integers(min_value=4, max_value=7),
@@ -416,9 +417,9 @@ class TestBicyclicCanonicalKey:
     def test_key_equality_matches_isomorphism(self, size, seed_a, seed_b):
         left = _random_bicyclic(random.Random(seed_a), size, 2)
         right = _random_bicyclic(random.Random(seed_b), size, 2)
-        assert (
-            bicyclic_canonical_key(left) == bicyclic_canonical_key(right)
-        ) == are_isomorphic(left, right)
+        assert (canonical_key(left) == canonical_key(right)) == are_isomorphic(
+            left, right
+        )
 
     @given(
         st.integers(min_value=4, max_value=8),
@@ -429,9 +430,9 @@ class TestBicyclicCanonicalKey:
     def test_edge_labels_keep_exactness(self, size, seed_a, seed_b):
         left = _random_bicyclic(random.Random(seed_a), size, 2, edge_labels=True)
         right = _random_bicyclic(random.Random(seed_b), size, 2, edge_labels=True)
-        assert (
-            bicyclic_canonical_key(left) == bicyclic_canonical_key(right)
-        ) == are_isomorphic(left, right)
+        assert (canonical_key(left) == canonical_key(right)) == are_isomorphic(
+            left, right
+        )
 
     def test_covers_all_three_core_shapes(self):
         # figure-eight: two triangles sharing vertex 0.
@@ -449,42 +450,12 @@ class TestBicyclicCanonicalKey:
             {0: "a", 1: "a", 2: "a", 3: "a", 4: "a", 5: "a"},
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)],
         )
-        keys = {
-            bicyclic_canonical_key(eight)[1],
-            bicyclic_canonical_key(theta)[1],
-            bicyclic_canonical_key(dumbbell)[1],
-        }
-        assert keys == {"8", "theta", "dumbbell"}
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            bicyclic_canonical_key(
-                build_graph({0: "a", 1: "a", 2: "a"}, [(0, 1), (1, 2), (0, 2)])
-            )
-        # |E| == |V| + 1 but disconnected: theta component + detached edge
-        # fails the connectivity check.
-        pseudo = build_graph(
-            {0: "a", 1: "a", 2: "a", 3: "a", 4: "a", 5: "a", 6: "a"},
-            [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1), (5, 6)],
-        )
-        with pytest.raises(ValueError):
-            bicyclic_canonical_key(pseudo)
-
-
-class TestWLSignature:
-    def test_invariant_under_relabeling(self):
-        one = build_graph({0: "a", 1: "b", 2: "c"}, [(0, 1), (1, 2)])
-        two = build_graph({7: "c", 8: "b", 9: "a"}, [(7, 8), (8, 9)])
-        assert wl_signature(one) == wl_signature(two)
-
-    def test_distinguishes_path_from_triangle(self):
-        path = build_graph({0: "a", 1: "a", 2: "a"}, [(0, 1), (1, 2)])
-        triangle = build_graph({0: "a", 1: "a", 2: "a"}, [(0, 1), (1, 2), (0, 2)])
-        assert wl_signature(path) != wl_signature(triangle)
-
-    def test_hashable(self):
-        graph = build_graph({0: "a", 1: "b"}, [(0, 1)])
-        assert hash(wl_signature(graph)) == hash(wl_signature(graph))
+        shapes = (eight, theta, dumbbell)
+        keys = [canonical_key(shape) for shape in shapes]
+        assert {key[0] for key in keys} == {"r"}
+        assert len(set(keys)) == 3
+        for shape, key in zip(shapes, keys):
+            assert canonical_key(_renumbered(shape, 3)) == key
 
 
 def _random_connected(rng, size, rank, num_labels, num_edge_labels):
@@ -516,16 +487,94 @@ def _random_connected(rng, size, rank, num_labels, num_edge_labels):
 _MIN_ORDER = {0: 1, 1: 3, 2: 4, 3: 4, 4: 5}
 
 
+def _cycle(order):
+    return order, [(v, (v + 1) % order) for v in range(order)]
+
+
+def _complete(order):
+    return order, list(itertools.combinations(range(order), 2))
+
+
+def _complete_bipartite(m, n):
+    return m + n, [(u, m + v) for u in range(m) for v in range(n)]
+
+
+_PRISM = (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+_CUBE = (8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+
+#: Highly symmetric connected shapes: cycles, K_n, K_{m,n}, the prism and
+#: the cube.  With one vertex label and one edge label, refinement leaves
+#: them one or two cells, so only the search and its pruning tell them
+#: apart.  K_n stops at 5 and K_{m,n} at six vertices because the minimum
+#: DFS code, the second oracle, is exponential on such graphs.
+_SYMMETRIC_SHAPES = (
+    [_cycle(order) for order in range(3, 9)]
+    + [_complete(order) for order in range(2, 6)]
+    + [_complete_bipartite(m, n) for m in range(1, 4) for n in range(m, 7 - m)]
+    + [_PRISM, _CUBE]
+)
+
+
+def _symmetric_union(parts):
+    """Disjoint union of ``(order, edges)`` shapes, every edge labeled x."""
+    graph = LabeledGraph()
+    offset = 0
+    for order, edges in parts:
+        for vertex in range(order):
+            graph.add_vertex(offset + vertex, "a")
+        for u, v in edges:
+            graph.add_edge(offset + u, offset + v, "x")
+        offset += order
+    return graph
+
+
+def _union_size(parts):
+    return sum(order for order, _ in parts), sum(len(edges) for _, edges in parts)
+
+
+#: Each shape alone, and each union of two with at most ten vertices (on
+#: larger unions the DFS code would dominate the test's time), grouped by
+#: vertex and edge count: a group holds near misses such as C6 and two
+#: triangles, K3,3 and the prism, or the cube and two copies of K4.
+_SYMMETRIC_UNIONS = [[shape] for shape in _SYMMETRIC_SHAPES] + [
+    [first, second]
+    for first, second in itertools.combinations_with_replacement(_SYMMETRIC_SHAPES, 2)
+    if first[0] + second[0] <= 10
+]
+_UNIONS_BY_SIZE = {}
+for _parts in _SYMMETRIC_UNIONS:
+    _UNIONS_BY_SIZE.setdefault(_union_size(_parts), []).append(_parts)
+
+
+@st.composite
+def _symmetric_pairs(draw):
+    """A symmetric union and either itself, parts reordered, or a union of
+    the same vertex and edge count; the second one renumbered.
+    """
+    left = draw(st.sampled_from(_SYMMETRIC_UNIONS))
+    if draw(st.booleans()):
+        right = left[::-1]
+    else:
+        right = draw(st.sampled_from(_UNIONS_BY_SIZE[_union_size(left)]))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    return _symmetric_union(left), _renumbered(_symmetric_union(right), seed)
+
+
 @st.composite
 def _graph_pairs(draw, max_order=7):
-    """Two graphs drawn alike: connected of rank 0-4, or a two-component union.
+    """Two graphs drawn alike: connected of rank 0-4, a two-component union,
+    or a pair from the symmetric family.
 
     The pair shares its shape parameters and small label alphabets, so it is
     isomorphic often enough to exercise both sides of every equality.  The
     union of two components of ranks ``r1`` and ``r2`` has cycle rank
     ``r1 + r2 - 1``, so the disconnected draws span ranks -1 to 4 — among
-    them 0 to 2, where the ladder must step aside for the DFS code.
+    them 0 and 1, where the tree and unicyclic rungs must step aside for the
+    labeller.  Random draws are usually discrete after one refinement, so a
+    quarter of the pairs come from the symmetric family instead.
     """
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(_symmetric_pairs())
     num_labels = draw(st.integers(min_value=1, max_value=2))
     num_edge_labels = draw(st.integers(min_value=1, max_value=2))
     shapes = []
@@ -554,11 +603,17 @@ def _graph_pairs(draw, max_order=7):
 
 
 def _renumbered(graph, seed):
+    """A copy with shuffled vertex ids, inserted in the order of the new ids.
+
+    Shuffling the insertion order too matters: the labeller explores a
+    cell's vertices in insertion order, so a copy that keeps it would hide
+    a search that stops at its first leaf.
+    """
     rng = random.Random(seed)
     ids = list(graph.vertices())
     targets = [i + 500 for i in ids]
     rng.shuffle(targets)
-    return graph.relabel_vertices(dict(zip(ids, targets)))
+    return graph.relabel_vertices(dict(sorted(zip(ids, targets), key=lambda pair: pair[1])))
 
 
 def _rank(graph):
@@ -566,7 +621,7 @@ def _rank(graph):
 
 
 class TestCanonicalCodeProperties:
-    """``canonical_key``'s cycle-rank dispatch against two independent oracles."""
+    """``canonical_key``'s three cases against two independent oracles."""
 
     @given(_graph_pairs(), st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60, deadline=None)
@@ -589,10 +644,10 @@ class TestCanonicalCodeProperties:
     def test_dispatch_follows_cycle_rank(self, pair):
         graph, _ = pair
         rung = canonical_key(graph)[0]
-        if graph.is_connected() and 0 <= _rank(graph) <= 2:
-            assert rung == ("t", "u", "b")[_rank(graph)]
+        if graph.is_connected() and 0 <= _rank(graph) <= 1:
+            assert rung == ("t", "u")[_rank(graph)]
         else:
-            assert rung == "dfs"
+            assert rung == "r"
 
     @pytest.mark.parametrize(
         "disconnected, connected",
@@ -615,7 +670,7 @@ class TestCanonicalCodeProperties:
         ],
         ids=["rank0", "rank1", "rank2"],
     )
-    def test_disconnected_graphs_fall_through_to_the_dfs_code(
+    def test_disconnected_graphs_fall_through_to_the_labeller(
         self, disconnected, connected
     ):
         order = 1 + max(max(edge) for edge in disconnected + connected)
@@ -623,7 +678,7 @@ class TestCanonicalCodeProperties:
         split = build_graph(vertices, disconnected)
         whole = build_graph(vertices, connected)
         assert _rank(split) == _rank(whole)
-        assert canonical_key(split)[0] == "dfs"
+        assert canonical_key(split)[0] == "r"
         assert canonical_key(split) == canonical_key(_renumbered(split, 7))
         assert canonical_key(split) != canonical_key(whole)
         assert not are_isomorphic(split, whole)
@@ -644,7 +699,7 @@ class TestCanonicalCodeProperties:
         assert canonical_key(single) == ("t", "a")
         assert canonical_key(single) != canonical_key(build_graph({3: "b"}, []))
         assert canonical_key(empty) == canonical_key(LabeledGraph())
-        assert canonical_key(empty)[0] == "dfs"
+        assert canonical_key(empty)[0] == "r"
         assert canonical_key(empty) != canonical_key(single)
         assert are_isomorphic(empty, LabeledGraph())
         assert not are_isomorphic(empty, single)
@@ -664,3 +719,75 @@ class TestCanonicalCodeProperties:
         compacted, _ = pattern.compact()
         assert minimum_dfs_code(pattern) == minimum_dfs_code(compacted)
         assert canonical_key(pattern) == canonical_key(compacted)
+
+
+def _grid(rows, columns):
+    edges = [
+        (r * columns + c, r * columns + c + 1) for r in range(rows) for c in range(columns - 1)
+    ] + [(r * columns + c, (r + 1) * columns + c) for r in range(rows - 1) for c in range(columns)]
+    return rows * columns, edges
+
+
+_PETERSEN = (
+    10,
+    [(v, (v + 1) % 5) for v in range(5)]
+    + [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
+    + [(v, v + 5) for v in range(5)],
+)
+_STAR_WITH_CHORDS = (21, [(0, leaf) for leaf in range(1, 21)] + [(1, 2), (3, 4)])
+#: Cubic with no automorphism but the identity (LCF [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]):
+#: refinement leaves one cell, so the key rests on the search alone.
+_FRUCHT = (
+    12,
+    sorted(
+        {(min(v, (v + 1) % 12), max(v, (v + 1) % 12)) for v in range(12)}
+        | {
+            (min(v, (v + step) % 12), max(v, (v + step) % 12))
+            for v, step in enumerate([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2])
+        }
+    ),
+)
+
+
+class TestRefinementLabeller:
+    """The labeller stays fast and exact where the DFS code was exponential."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            _symmetric_union([_complete(6)]),
+            _symmetric_union([_complete(8)]),
+            _symmetric_union([_grid(3, 4)]),
+            _symmetric_union([_PETERSEN]),
+            _symmetric_union([_CUBE]),
+            _symmetric_union([_complete_bipartite(3, 3)]),
+            _symmetric_union([_PRISM]),
+            _symmetric_union([_STAR_WITH_CHORDS]),
+            _symmetric_union([_cycle(3)] * 6),
+            _symmetric_union([_cycle(3), _cycle(5)]),
+            _symmetric_union([_FRUCHT]),
+        ],
+        ids=["K6", "K8", "grid3x4", "petersen", "cube", "K3,3", "prism",
+             "star20-chords", "six-triangles", "triangle+pentagon", "frucht"],
+    )
+    def test_symmetric_graph_keys_in_bounded_time(self, graph):
+        started = time.perf_counter()
+        key = canonical_key(graph)
+        assert time.perf_counter() - started < 0.25
+        assert key[0] == "r"
+        for seed in range(3):
+            assert canonical_key(_renumbered(graph, seed)) == key
+
+    def test_k33_and_prism_differ(self):
+        k33 = _symmetric_union([_complete_bipartite(3, 3)])
+        prism = _symmetric_union([_PRISM])
+        assert canonical_key(k33) != canonical_key(prism)
+        assert not are_isomorphic(k33, prism)
+
+    def test_every_graph_has_a_labeller_key(self):
+        # The labeller is exact on the rungs' inputs too, with its own tag.
+        path = build_graph({0: "a", 1: "b", 2: "a"}, [(0, 1), (1, 2)])
+        renamed = build_graph({7: "a", 3: "b", 5: "a"}, [(3, 5), (7, 3)])
+        assert refinement_canonical_key(path) == refinement_canonical_key(renamed)
+        assert refinement_canonical_key(path)[0] == "r"
+        assert refinement_canonical_key(path) != canonical_key(path)

@@ -23,7 +23,7 @@ from conftest import GID_SCALE, MIN_SUPPORT, run_once
 from repro.analysis.reporting import print_figure_series
 from repro.api import MiningEngine, Query
 from repro.datasets.synthetic import build_gid_dataset
-from repro.index.store import DiskPatternStore
+from repro.index import SqlitePatternStore
 
 DELTA = 1
 
@@ -39,12 +39,12 @@ def _sweep(store_root):
     length = dataset.setting.long_pattern_diameter
     query = Query("skinny", {"length": length, "delta": DELTA}, min_support=MIN_SUPPORT)
 
-    cold_engine = MiningEngine(dataset.graph, store=DiskPatternStore(store_root))
+    cold_engine = MiningEngine(dataset.graph, store=SqlitePatternStore(store_root))
     cold_response, cold_total = _timed_run(cold_engine, query)
     assert not cold_response.stats.served_from_store
 
     # A brand-new engine over the same directory: simulates a process restart.
-    warm_engine = MiningEngine(dataset.graph, store=DiskPatternStore(store_root))
+    warm_engine = MiningEngine(dataset.graph, store=SqlitePatternStore(store_root))
     warm_response, warm_total = _timed_run(warm_engine, query)
     assert warm_response.stats.served_from_store
     assert not warm_response.stats.result_cache_hit

@@ -1,17 +1,18 @@
-"""Corpus-query speedup: SQLite's indexed queries vs the JSONL full scan.
+"""Corpus-query speedup: SQLite's indexed query vs a full scan of the same store.
 
-The relational backend exists so "patterns containing label X, support ≥ σ"
-never pays for the patterns it does *not* return.  This gate builds one
-corpus of ``TOTAL_PATTERNS`` path patterns (split across many store
-entries), persists it through both backends, and times the same selective
-corpus query cold on each:
+The SQLite store keeps pattern metadata in indexed columns so "patterns
+containing label X, support ≥ σ" never pays for the patterns it does *not*
+return.  This gate builds one corpus of ``TOTAL_PATTERNS`` path patterns
+(split across many store entries) in one SQLite store and times the same
+selective corpus query cold, two ways:
 
-* the JSONL backend must decode **every** body to answer (full scan);
-* the SQLite backend filters on indexed metadata columns and must decode
-  **only the matching bodies** — pinned exactly via the codec's decode
-  counter, not just inferred from timing;
+* the base-class :meth:`PatternStore.query` — the scan the memory store
+  runs — must decode **every** body to answer;
+* :meth:`SqlitePatternStore.query` filters on the indexed metadata columns
+  and must decode **only the matching bodies** — both counts pinned
+  exactly via the codec's decode counter, not just inferred from timing;
 * the indexed query must be at least ``SPEEDUP_FLOOR``× faster than the
-  scan, and both backends must return byte-identical matches.
+  scan, and both must return byte-identical matches.
 
 Runs under ``-m bench`` (CI's bench-smoke job); not part of the tier-1
 suite.
@@ -24,7 +25,7 @@ import time
 from repro.core.patterns import PathPattern
 from repro.index.codec import decode_count
 from repro.index.sqlite_store import SqlitePatternStore
-from repro.index.store import DiskPatternStore, IndexEntry, StoreKey
+from repro.index.store import IndexEntry, PatternStore, StoreKey
 
 #: Corpus size the ISSUE names: indexed lookup must win at this scale.
 TOTAL_PATTERNS = 10_000
@@ -64,37 +65,36 @@ def populate(store) -> None:
         )
 
 
-def timed_cold_query(make_store):
-    """Min-of-ROUNDS cold query latency, fresh store instance per round.
+def timed_cold_query(root, run_query):
+    """Min-of-ROUNDS cold query latency and decode count, fresh store per round.
 
-    A fresh instance per round means neither backend answers from its
+    A fresh instance per round means no round answers from the store's
     in-process entry cache.
     """
     best, matches = None, None
+    decodes_before = decode_count()
     for _ in range(ROUNDS):
-        store = make_store()
+        store = SqlitePatternStore(root)
         started = time.perf_counter()
-        matches = store.query(**QUERY)
+        matches = run_query(store)
         elapsed = time.perf_counter() - started
         if best is None or elapsed < best:
             best = elapsed
-        close = getattr(store, "close", None)
-        if close is not None:
-            close()
-    return best, matches
+        store.close()
+    return best, matches, decode_count() - decodes_before
 
 
-def test_indexed_corpus_query_beats_jsonl_scan(tmp_path):
-    jsonl_root = tmp_path / "jsonl"
-    sqlite_root = tmp_path / "sqlite"
-    populate(DiskPatternStore(jsonl_root))
-    sqlite_seed = SqlitePatternStore(sqlite_root)
-    populate(sqlite_seed)
-    sqlite_seed.close()
+def test_indexed_corpus_query_beats_full_scan(tmp_path):
+    seed = SqlitePatternStore(tmp_path)
+    populate(seed)
+    seed.close()
 
-    jsonl_seconds, jsonl_matches = timed_cold_query(lambda: DiskPatternStore(jsonl_root))
-    decodes_before = decode_count()
-    sqlite_seconds, sqlite_matches = timed_cold_query(lambda: SqlitePatternStore(sqlite_root))
+    scan_seconds, scan_matches, scan_decodes = timed_cold_query(
+        tmp_path, lambda store: PatternStore.query(store, **QUERY)
+    )
+    sqlite_seconds, sqlite_matches, sqlite_decodes = timed_cold_query(
+        tmp_path, lambda store: store.query(**QUERY)
+    )
 
     expected = len(
         [
@@ -106,23 +106,24 @@ def test_indexed_corpus_query_beats_jsonl_scan(tmp_path):
     assert expected > 0
     assert len(sqlite_matches) == expected
 
-    # Correctness first: both backends return the identical match list.
+    # Correctness first: the scan and the indexed query agree byte for byte.
     as_dicts = lambda ms: [m.to_dict(include_pattern=True) for m in ms]  # noqa: E731
-    assert as_dicts(jsonl_matches) == as_dicts(sqlite_matches)
+    assert as_dicts(scan_matches) == as_dicts(sqlite_matches)
 
-    # The indexed path decoded only what it returned: ROUNDS cold queries,
-    # each deserialising exactly the matching bodies — never the corpus.
-    assert decode_count() - decodes_before == ROUNDS * expected
+    # The scan decoded the whole corpus every round; the indexed path decoded
+    # only what it returned: exactly the matching bodies, never the corpus.
+    assert scan_decodes == ROUNDS * TOTAL_PATTERNS
+    assert sqlite_decodes == ROUNDS * expected
 
-    speedup = jsonl_seconds / sqlite_seconds
+    speedup = scan_seconds / sqlite_seconds
     print(
         f"\ncorpus query over {TOTAL_PATTERNS} patterns: "
-        f"jsonl scan {jsonl_seconds * 1000:.1f} ms, "
+        f"full scan {scan_seconds * 1000:.1f} ms, "
         f"sqlite indexed {sqlite_seconds * 1000:.1f} ms, "
         f"speedup {speedup:.1f}x (floor {SPEEDUP_FLOOR}x)"
     )
     assert speedup >= SPEEDUP_FLOOR, (
-        f"indexed corpus query only {speedup:.1f}x faster than the JSONL scan "
-        f"(required ≥ {SPEEDUP_FLOOR}x): jsonl {jsonl_seconds:.4f}s "
+        f"indexed corpus query only {speedup:.1f}x faster than the full scan "
+        f"(required ≥ {SPEEDUP_FLOOR}x): scan {scan_seconds:.4f}s "
         f"vs sqlite {sqlite_seconds:.4f}s"
     )

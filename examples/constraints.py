@@ -40,7 +40,7 @@ from repro.graph.generators import (
     inject_pattern,
     random_skinny_pattern,
 )
-from repro.index import DiskPatternStore
+from repro.index import SqlitePatternStore
 
 
 def main() -> None:
@@ -49,7 +49,7 @@ def main() -> None:
     inject_pattern(background, planted, copies=3, seed=3)
 
     store_root = tempfile.mkdtemp(prefix="repro-constraints-")
-    engine = MiningEngine(background, store=DiskPatternStore(store_root))
+    engine = MiningEngine(background, store=SqlitePatternStore(store_root))
     print(f"engine stage-1 mode: {engine.stage1_mode.value}")
 
     # 1. Three constraints, one entry point.

@@ -30,7 +30,7 @@ from repro.graph.generators import (
     inject_pattern,
     random_skinny_pattern,
 )
-from repro.index import DiskPatternStore
+from repro.index import SqlitePatternStore
 
 
 def skinny(length: int, top_k=None) -> Query:
@@ -43,7 +43,7 @@ def main() -> None:
     inject_pattern(background, planted, copies=3, seed=3)
 
     with tempfile.TemporaryDirectory(prefix="repro-index-") as store_root:
-        engine = MiningEngine(background, store=DiskPatternStore(store_root))
+        engine = MiningEngine(background, store=SqlitePatternStore(store_root))
 
         # 1. Offline: Stage 1 for several lengths, in parallel, persisted to disk.
         lengths = [4, 5, 6]

@@ -54,7 +54,7 @@ from repro.core import (
 )
 from repro.core.database import EdgeDelta, GraphDelta
 from repro.graph import LabeledGraph
-from repro.index import DiskPatternStore, IndexMaintainer, MemoryPatternStore, PatternStore
+from repro.index import IndexMaintainer, MemoryPatternStore, PatternStore, SqlitePatternStore
 
 
 def _detect_version() -> str:
@@ -88,7 +88,6 @@ __version__ = _detect_version()
 
 __all__ = [
     "DiamMine",
-    "DiskPatternStore",
     "EdgeDelta",
     "GraphDelta",
     "IndexMaintainer",
@@ -105,6 +104,7 @@ __all__ = [
     "SkinnyConstraintDriver",
     "SkinnyMine",
     "SkinnyPattern",
+    "SqlitePatternStore",
     "SupportMeasure",
     "UnknownConstraintError",
     "available_constraints",

@@ -59,10 +59,10 @@ class MiningEngine:
         The data graph (single-graph setting) or graph database.  The engine
         owns these objects: data edits must go through :meth:`apply_delta`.
     store:
-        Stage-1 index backend; defaults to a process-local
+        Stage-1 index store; defaults to a process-local
         :class:`MemoryPatternStore`.  Pass a
-        :class:`repro.index.store.DiskPatternStore` to share the offline
-        stage across processes and runs.
+        :class:`repro.index.sqlite_store.SqlitePatternStore` to share the
+        offline stage across processes and runs.
     result_cache_size:
         Number of complete results kept in the LRU result cache.
     max_paths_per_length / max_patterns_per_diameter:

@@ -4,17 +4,16 @@ Subcommands mirror the two-stage architecture, now served through the
 unified constraint-plugin API (:mod:`repro.api`):
 
 * ``repro constraints``   — list the registered constraints and their schemas
-* ``repro index build``   — run Stage 1 offline and persist it to a disk store
-* ``repro index info``    — inspect a store (entries, sizes, build times)
-* ``repro index query``   — corpus queries over a store's patterns (indexed on sqlite)
+* ``repro index build``   — run Stage 1 offline and persist it to a store
+* ``repro index info``    — inspect a store (entries, pattern counts, build times)
+* ``repro index query``   — indexed corpus queries over a store's patterns
 * ``repro mine``          — answer one query (warm store = no Stage 1)
 * ``repro serve-batch``   — answer a JSON file of Query envelopes
 * ``repro serve``         — run the long-lived concurrent mining service (TCP)
 * ``repro stats``         — render a metrics snapshot written by ``--emit-metrics``
 
-Every command that takes ``--store`` also takes ``--backend jsonl|sqlite``;
-without it the backend comes from ``$REPRO_STORE_BACKEND`` or from what is
-already on disk at the store root (see ``docs/STORE.md``).
+``--store DIR`` names a SQLite pattern store (``DIR/patterns.sqlite``, created
+on first use; see ``docs/STORE.md``).
 
 Telemetry (see ``docs/OBSERVABILITY.md``): ``mine`` and ``serve-batch``
 accept ``--trace-out PATH`` (append per-query span trees as JSONL) and
@@ -142,12 +141,10 @@ def _format_params(params: Dict[str, object]) -> str:
 # store plumbing
 # --------------------------------------------------------------------- #
 def _open_store(args: argparse.Namespace, metrics=None):
-    """Open the store named by ``--store`` under the resolved backend."""
-    from repro.index import open_pattern_store
+    """Open (creating if needed) the store named by ``--store``."""
+    from repro.index import SqlitePatternStore
 
-    return open_pattern_store(
-        args.store, backend=getattr(args, "backend", None), metrics=metrics
-    )
+    return SqlitePatternStore(args.store, metrics=metrics)
 
 
 # --------------------------------------------------------------------- #
@@ -326,14 +323,10 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
         return 0
     print(f"{store.root}: {len(entries)} entr{'y' if len(entries) == 1 else 'ies'}")
     for entry in entries:
-        size = (
-            f" {entry['size_bytes']} bytes" if "size_bytes" in entry else ""
-        )  # the sqlite backend shares one database file across entries
         print(
             f"  [{entry['constraint_id']}] {json.dumps(entry['parameter'], sort_keys=True)}"
             f" — {entry['num_patterns']} pattern(s),"
-            f" built in {entry['build_seconds']:.3f}s,"
-            f"{size}"
+            f" built in {entry['build_seconds']:.3f}s"
             f" (data {entry['fingerprint'][:12]}…)"
         )
     return 0
@@ -562,18 +555,6 @@ def _add_data_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["jsonl", "sqlite"],
-        help=(
-            "store backend (default: $REPRO_STORE_BACKEND, else whatever is "
-            "already at --store, else jsonl)"
-        ),
-    )
-
-
 def _add_measure_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--support-measure",
@@ -639,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     build = index_sub.add_parser("build", help="precompute minimal patterns into a store")
     _add_data_argument(build)
     build.add_argument("--store", required=True, help="index store directory")
-    _add_backend_argument(build)
     _add_constraint_arguments(build)
     build.add_argument(
         "--lengths",
@@ -656,15 +636,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     info = index_sub.add_parser("info", help="inspect an index store")
     info.add_argument("--store", required=True, help="index store directory")
-    _add_backend_argument(info)
     info.add_argument("--json", action="store_true", help="machine-readable output")
     info.set_defaults(handler=_cmd_index_info)
 
     query = index_sub.add_parser(
-        "query", help="corpus query over a store's patterns (indexed on sqlite)"
+        "query", help="indexed corpus query over a store's patterns"
     )
     query.add_argument("--store", required=True, help="index store directory")
-    _add_backend_argument(query)
     query.add_argument(
         "--labels-contain",
         action="append",
@@ -702,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine = subparsers.add_parser("mine", help="answer one mining query")
     _add_data_argument(mine)
     mine.add_argument("--store", default=None, help="index store directory (optional)")
-    _add_backend_argument(mine)
     _add_constraint_arguments(mine)
     mine.add_argument(
         "--length", "-l", type=int, default=None,
@@ -727,7 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch = subparsers.add_parser("serve-batch", help="answer a JSON batch of queries")
     _add_data_argument(batch)
     batch.add_argument("--store", default=None, help="index store directory (optional)")
-    _add_backend_argument(batch)
     batch.add_argument(
         "--requests",
         required=True,
@@ -749,7 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_data_argument(serve)
     serve.add_argument("--store", default=None, help="index store directory (optional)")
-    _add_backend_argument(serve)
     serve.add_argument("--host", default="127.0.0.1", help="listen address")
     serve.add_argument(
         "--port",

@@ -1,32 +1,23 @@
-"""Persistent minimal-pattern index: store backends, codec, incremental repair.
+"""Persistent minimal-pattern index: stores, codec, incremental repair.
 
 This package turns the paper's offline Stage 1 (Figure 2) into a durable
 subsystem:
 
-* :mod:`repro.index.store` — the abstract :class:`PatternStore` with
-  in-memory and on-disk (JSON-lines, versioned, atomic) backends, keyed by
-  ``(dataset fingerprint, constraint id, parameter)``, plus the corpus-query
-  surface (:meth:`PatternStore.query`, :class:`PatternMatch`);
-* :mod:`repro.index.sqlite_store` — the relational backend: pattern
-  metadata in indexed SQLite columns (WAL mode for concurrent readers) so
-  corpus queries never deserialise non-matching bodies;
-* :mod:`repro.index.backends` — backend selection
-  (``--backend jsonl|sqlite``, ``REPRO_STORE_BACKEND``, on-disk detection)
-  behind one :func:`open_pattern_store` opener;
+* :mod:`repro.index.store` — the abstract :class:`PatternStore`, keyed by
+  ``(dataset fingerprint, constraint id, parameter)``, with the in-memory
+  store the engine defaults to and the copy-on-write snapshot view, plus
+  the corpus-query surface (:meth:`PatternStore.query`, :class:`PatternMatch`);
+* :mod:`repro.index.sqlite_store` — the persistent store: one SQLite
+  database per store root, pattern metadata in indexed columns (WAL mode
+  for concurrent readers) so corpus queries never deserialise non-matching
+  bodies;
 * :mod:`repro.index.codec` — lossless record serialisation for minimal
   patterns and their embeddings, plus the shared
-  :func:`pattern_metadata` extraction both backends filter on;
+  :func:`pattern_metadata` extraction every store filters on;
 * :mod:`repro.index.incremental` — delta-driven repair so edge edits do not
   force a full Stage-1 rebuild.
 """
 
-from repro.index.backends import (
-    BACKEND_ENV_VAR,
-    STORE_BACKENDS,
-    detect_store_backend,
-    open_pattern_store,
-    resolve_store_backend,
-)
 from repro.index.codec import (
     CodecError,
     decode_count,
@@ -44,8 +35,6 @@ from repro.index.incremental import (
 )
 from repro.index.sqlite_store import SqlitePatternStore
 from repro.index.store import (
-    FORMAT_VERSION,
-    DiskPatternStore,
     IndexEntry,
     MemoryPatternStore,
     PatternMatch,
@@ -58,10 +47,7 @@ from repro.index.store import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "CodecError",
-    "DiskPatternStore",
-    "FORMAT_VERSION",
     "IndexEntry",
     "IndexMaintainer",
     "MemoryPatternStore",
@@ -69,7 +55,6 @@ __all__ = [
     "PatternStore",
     "RepairReport",
     "SKINNY_CONSTRAINT_ID",
-    "STORE_BACKENDS",
     "SnapshotStoreView",
     "SqlitePatternStore",
     "StoreFormatError",
@@ -77,11 +62,9 @@ __all__ = [
     "decode_count",
     "decode_parameter",
     "decode_record",
-    "detect_store_backend",
     "encode_parameter",
     "encode_record",
     "find_labeled_path_occurrences",
-    "open_pattern_store",
     "paths_through_edge",
     "pattern_metadata",
     "repair_path_entry",

@@ -11,21 +11,21 @@ Stage-1 output.  Three record types are supported:
 * ``graph`` — a bare :class:`repro.graph.labeled_graph.LabeledGraph`
   (minimal patterns of generic constraints in the direct-mining framework).
 
-Records are plain dicts tagged with a ``"type"`` key so a JSON-lines file can
+Records are plain dicts tagged with a ``"type"`` key so one store entry can
 mix them; decoding an unknown tag raises :class:`CodecError` rather than
 silently dropping data.
 
 Two corpus-query hooks live here as well:
 
 * :func:`pattern_metadata` — the *indexable* facts about a storable object
-  (kind, support, size, labels, diameter descriptor).  The SQLite backend
-  persists exactly these as columns at ``put`` time; the JSONL backends
-  recompute them from decoded objects during a scan.  Keeping the
-  extraction in one place is what makes the two backends answer corpus
-  queries identically.
+  (kind, support, size, labels, diameter descriptor).  The SQLite store
+  persists exactly these as columns at ``put`` time; the base-class scan
+  (memory store, snapshot overlays) recomputes them from decoded objects.
+  Keeping the extraction in one place is what makes the indexed query and
+  the scan answer identically.
 * :func:`decode_count` — a process-wide counter of :func:`decode_record`
-  calls.  Backends that claim to answer metadata queries *without*
-  deserialising pattern bodies are pinned against it
+  calls.  The SQLite store's claim to answer metadata queries *without*
+  deserialising non-matching pattern bodies is pinned against it
   (``tests/index/test_sqlite_store.py``).
 """
 
@@ -142,9 +142,9 @@ def pattern_metadata(obj: object) -> Dict[str, object]:
     carry no frequency), ``size`` (number of edges), ``num_vertices``,
     ``labels`` (sorted, de-duplicated vertex labels), ``diameter_len`` and
     ``diameter_labels`` (``None`` when the object has no distinguished
-    diameter).  The SQLite backend persists these as columns; the JSONL
-    scan recomputes them per decoded object — one function, two backends,
-    identical answers.
+    diameter).  The SQLite store persists these as columns; the base-class
+    scan recomputes them per decoded object — one function, one answer
+    either way.
 
     Examples
     --------

@@ -1,21 +1,21 @@
-"""SQLite relational backend for the pattern-index store.
+"""The persistent pattern-index store, on SQLite.
 
-The JSONL backend (:class:`repro.index.store.DiskPatternStore`) answers a
-corpus query by decoding every entry it holds; this backend persists the
-*metadata* of every pattern — kind, support, size, vertex count, labels,
-diameter descriptor — as indexed columns at ``put`` time, so
+The base-class :meth:`repro.index.store.PatternStore.query` answers a corpus
+query by decoding every entry it holds; this store persists the *metadata*
+of every pattern — kind, support, size, vertex count, labels, diameter
+descriptor — as indexed columns at ``put`` time, so
 :meth:`SqlitePatternStore.query` filters and orders inside SQLite and only
 deserialises the pattern bodies that actually match.  Bodies stay in the
-JSONL codec's record form (:mod:`repro.index.codec`), stored one JSON text
-per row, so the two backends remain byte-compatible at the object level.
+codec's record form (:mod:`repro.index.codec`), stored one JSON text per
+row, so a decoded entry equals the one the in-memory store holds.
 
 Concurrency model: the database runs in WAL (write-ahead log) mode, so any
-number of readers see consistent snapshots while one writer appends — the
-SQLite analogue of the JSONL backend's ``os.replace`` publication protocol.
-Every ``get`` wraps its two SELECTs (entry header, pattern bodies) in one
-deferred read transaction, so a concurrent ``put`` can never produce a torn
-entry.  Connections are per-thread; a single store instance may be shared
-across threads.
+number of readers see consistent snapshots while one writer appends.  Every
+``put`` replaces an entry inside one immediate transaction and every ``get``
+wraps its two SELECTs (entry header, pattern bodies) in one deferred read
+transaction, so neither a concurrent ``put`` nor a writer killed mid-``put``
+can produce a torn entry.  Connections are per-thread; a single store
+instance may be shared across threads.
 
 Schema (see ``docs/STORE.md`` for the diagram and index rationale)::
 
@@ -126,8 +126,8 @@ def resolve_database_path(root: PathLike) -> Path:
     """Where the database lives for a given store root.
 
     A root ending in ``.sqlite`` is used verbatim; anything else is treated
-    as a directory holding ``patterns.sqlite`` — the same shape the JSONL
-    backend uses, so ``--store DIR`` works for either backend.
+    as a directory holding ``patterns.sqlite``, which is what ``--store DIR``
+    names on the command line.
 
     Examples
     --------
@@ -143,7 +143,7 @@ def resolve_database_path(root: PathLike) -> Path:
 
 
 class SqlitePatternStore(PatternStore):
-    """Relational :class:`PatternStore` backend with indexed corpus queries.
+    """The persistent :class:`PatternStore`, with indexed corpus queries.
 
     ``root`` is a directory (database at ``<root>/patterns.sqlite``) or a
     ``*.sqlite`` file path.  ``metrics`` is the registry query/read/write
@@ -152,17 +152,39 @@ class SqlitePatternStore(PatternStore):
     The store is safe to share across threads: each thread gets its own
     WAL-mode connection.  ``close()`` releases every connection the
     instance opened.
+
+    Opening raises :class:`StoreFormatError` when the database file is
+    damaged, foreign or from another schema version, and when it would be
+    created in a directory that holds a 2.x JSONL store (``*/*/*.jsonl``
+    entry files): that format is no longer read, and a database beside it
+    would leave every query cold without saying why.
     """
 
     def __init__(self, root: PathLike, metrics: Optional[MetricsRegistry] = None) -> None:
         self._path = resolve_database_path(root)
+        if not self._path.exists() and any(self.root.glob("*/*/*.jsonl")):
+            raise StoreFormatError(
+                f"{self.root}: holds JSONL index entries, a format removed in repro 3.0; "
+                "Stage-1 entries are derived data, so rebuild the index into a fresh "
+                "directory with `repro index build --store NEW_DIR ...`"
+            )
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._metrics = metrics if metrics is not None else default_registry()
         self._local = threading.local()
         self._connections: List[sqlite3.Connection] = []
         self._connections_lock = threading.Lock()
         self._cache: Dict[StoreKey, IndexEntry] = {}
-        self._initialise()
+        try:
+            self._initialise()
+        except sqlite3.DatabaseError as error:
+            self.close()
+            if isinstance(error, sqlite3.OperationalError):
+                raise
+            # SQLITE_NOTADB / SQLITE_CORRUPT: a damaged file is a format
+            # fault like a foreign handshake, not an internal error.
+            raise StoreFormatError(
+                f"{self._path}: not a readable SQLite database ({error})"
+            ) from error
 
     # -------------------------------------------------------------- #
     # connection management
@@ -249,8 +271,7 @@ class SqlitePatternStore(PatternStore):
         connection = self._connection()
         started = time.perf_counter()
         # One deferred transaction covers both SELECTs, so a concurrent
-        # put() can never pair an old entry header with new pattern rows
-        # (the WAL analogue of the JSONL single-open-handle rule).
+        # put() can never pair an old entry header with new pattern rows.
         connection.execute("BEGIN DEFERRED")
         try:
             row = connection.execute(
@@ -398,7 +419,7 @@ class SqlitePatternStore(PatternStore):
 
         Filtering and ordering happen inside SQLite on the metadata
         columns; only the rows that survive the WHERE clause have their
-        ``body`` JSON decoded.  Ordering matches the scan backends exactly:
+        ``body`` JSON decoded.  Ordering matches the base-class scan exactly:
         SQLite's BINARY collation is code-point order (what Python ``str``
         comparison uses) and its NULL placement — first ascending, last
         descending — is replicated by

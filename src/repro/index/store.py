@@ -9,10 +9,11 @@ in-memory dict:
   constraint id, canonical parameter)``.  The fingerprint hashes graph
   *content* (see :func:`repro.graph.io.dataset_fingerprint`), so an index on
   disk can never silently be served for the wrong data.
-* :class:`PatternStore` — the abstract interface; :class:`MemoryPatternStore`
-  and :class:`DiskPatternStore` are the two backends.  The disk backend
-  writes one JSON-lines file per entry with a versioned header line and
-  atomic replace-on-write, and keeps a decoded read cache.
+* :class:`PatternStore` — the abstract interface, whose base-class
+  :meth:`~PatternStore.query` is a full scan; :class:`MemoryPatternStore`
+  (the engine's default) and the copy-on-write :class:`SnapshotStoreView`
+  live here.  The one persistent store is
+  :class:`repro.index.sqlite_store.SqlitePatternStore`.
 * ``encode_parameter`` / ``decode_parameter`` — canonical, reversible text
   encoding of constraint parameters (tuples such as SkinnyMine's ``(l, δ)``
   survive the JSON round-trip).
@@ -20,28 +21,23 @@ in-memory dict:
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Union
-from urllib.parse import quote
 
-from repro.index.codec import decode_record, encode_record, pattern_metadata
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.index.codec import encode_record, pattern_metadata
+from repro.obs.metrics import MetricsRegistry
 
 FORMAT_NAME = "repro-pattern-index"
-FORMAT_VERSION = 1
 
 PathLike = Union[str, Path]
 
 
 class StoreFormatError(ValueError):
-    """Raised when an on-disk index file is corrupt or from an unknown version."""
+    """Raised when an on-disk index is corrupt, foreign or from an unknown version."""
 
 
 # --------------------------------------------------------------------- #
@@ -296,7 +292,7 @@ def ordered_matches(
 
 
 def observe_query_metrics(metrics: MetricsRegistry, seconds: float) -> None:
-    """Publish one corpus-query observation (shared by the disk/SQLite backends)."""
+    """Publish one corpus-query observation (the persistent store's query path)."""
     metrics.histogram(
         "repro_store_query_seconds", "Corpus-query latency over the pattern store"
     ).observe(seconds)
@@ -309,7 +305,7 @@ def observe_query_metrics(metrics: MetricsRegistry, seconds: float) -> None:
 # the abstract store
 # --------------------------------------------------------------------- #
 class PatternStore(ABC):
-    """Interface shared by the in-memory and on-disk index backends."""
+    """Interface shared by the in-memory, snapshot-view and SQLite stores."""
 
     @abstractmethod
     def get(self, key: StoreKey) -> Optional[IndexEntry]:
@@ -523,204 +519,3 @@ class SnapshotStoreView(PatternStore):
                 continue
             matches.extend(_entry_matches(key, entry, spec))
         return ordered_matches(matches, spec["order_by"], spec["limit"])
-
-
-class DiskPatternStore(PatternStore):
-    """JSON-lines disk backend with versioned headers and atomic writes.
-
-    Layout: ``<root>/<fingerprint>/<constraint_id>/<param-digest>.jsonl``.
-    The first line of each file is a header record carrying the format name,
-    version and the full key; subsequent lines are one encoded pattern each
-    (see :mod:`repro.index.codec`).  Writes land in a temporary file in the
-    same directory and are published with ``os.replace``, so readers never
-    observe a half-written entry.  Decoded entries are cached in memory until
-    invalidated by ``put``/``delete``.
-
-    ``metrics`` (optional) is the :class:`repro.obs.MetricsRegistry` the
-    store publishes I/O latencies into — ``repro_store_read_seconds`` per
-    cold entry decode and ``repro_store_write_seconds`` per ``put``;
-    defaults to the process-wide registry.  Cache-served ``get`` calls are
-    not observed (they cost a dict lookup).
-    """
-
-    def __init__(self, root: PathLike, metrics: Optional[MetricsRegistry] = None) -> None:
-        self._root = Path(root)
-        self._root.mkdir(parents=True, exist_ok=True)
-        self._cache: Dict[StoreKey, IndexEntry] = {}
-        self._metrics = metrics if metrics is not None else default_registry()
-
-    @property
-    def root(self) -> Path:
-        return self._root
-
-    # -------------------------------------------------------------- #
-    # paths
-    # -------------------------------------------------------------- #
-    def _path_for(self, key: StoreKey) -> Path:
-        param_digest = hashlib.sha256(key.parameter.encode("utf-8")).hexdigest()[:24]
-        # An empty fingerprint (StoreKey does not forbid one) or a
-        # path-hostile one must still occupy exactly one directory level, or
-        # keys()/info() globbing would miss the entry.
-        fingerprint_dir = quote(key.fingerprint, safe="-_.") or "_no-fingerprint"
-        constraint_dir = quote(key.constraint_id, safe="-_.") or "_no-constraint"
-        return self._root / fingerprint_dir / constraint_dir / f"{param_digest}.jsonl"
-
-    # -------------------------------------------------------------- #
-    # PatternStore interface
-    # -------------------------------------------------------------- #
-    def get(self, key: StoreKey) -> Optional[IndexEntry]:
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        path = self._path_for(key)
-        if not path.exists():
-            return None
-        started = time.perf_counter()
-        entry = self._read_entry(path, expected_key=key)
-        self._metrics.histogram(
-            "repro_store_read_seconds", "Cold index-entry decode latency (disk store)"
-        ).observe(time.perf_counter() - started)
-        self._cache[key] = entry
-        return entry
-
-    def put(self, entry: IndexEntry) -> None:
-        started = time.perf_counter()
-        path = self._path_for(entry.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        header = {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "fingerprint": entry.key.fingerprint,
-            "constraint_id": entry.key.constraint_id,
-            "parameter": entry.key.parameter,
-            "num_patterns": len(entry.patterns),
-            "build_seconds": entry.build_seconds,
-            "created_at": entry.created_at,
-        }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(
-            json.dumps(encode_record(pattern), sort_keys=True) for pattern in entry.patterns
-        )
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, path)
-        except BaseException:
-            if os.path.exists(temp_name):
-                os.unlink(temp_name)
-            raise
-        self._metrics.histogram(
-            "repro_store_write_seconds", "Index-entry encode+fsync latency (disk store)"
-        ).observe(time.perf_counter() - started)
-        self._cache[entry.key] = entry
-
-    def delete(self, key: StoreKey) -> bool:
-        self._cache.pop(key, None)
-        path = self._path_for(key)
-        if not path.exists():
-            return False
-        path.unlink()
-        return True
-
-    def keys(self) -> List[StoreKey]:
-        found: List[StoreKey] = []
-        for path in sorted(self._root.glob("*/*/*.jsonl")):
-            header = self._read_header(path)
-            found.append(
-                StoreKey(header["fingerprint"], header["constraint_id"], header["parameter"])
-            )
-        return found
-
-    def query(self, **filters) -> List[PatternMatch]:
-        """Full-scan corpus query (see :meth:`PatternStore.query`), timed.
-
-        The JSONL layout has no secondary indexes, so this decodes every
-        entry that survives the key-level filters; latency lands in the
-        ``repro_store_query_seconds`` histogram and each call increments
-        ``repro_store_queries_total`` (same names the SQLite backend
-        publishes, so dashboards compare backends directly).
-        """
-        started = time.perf_counter()
-        matches = super().query(**filters)
-        observe_query_metrics(self._metrics, time.perf_counter() - started)
-        return matches
-
-    # -------------------------------------------------------------- #
-    # file parsing
-    # -------------------------------------------------------------- #
-    def _read_header(self, path: Path) -> Dict:
-        with path.open("r", encoding="utf-8") as handle:
-            return self._parse_header(path, handle.readline())
-
-    def _parse_header(self, path: Path, first: str) -> Dict:
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as error:
-            raise StoreFormatError(f"{path}: header is not valid JSON") from error
-        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-            raise StoreFormatError(f"{path}: not a {FORMAT_NAME} file")
-        if header.get("version") != FORMAT_VERSION:
-            raise StoreFormatError(
-                f"{path}: format version {header.get('version')!r} is not supported "
-                f"(this build reads version {FORMAT_VERSION})"
-            )
-        return header
-
-    def _read_entry(self, path: Path, expected_key: Optional[StoreKey] = None) -> IndexEntry:
-        # Header and body come from ONE open handle: ``put`` publishes via
-        # os.replace, so a single open always sees one complete file
-        # version, but two opens racing a writer could pair the old
-        # header's num_patterns promise with the new body (or vice versa)
-        # and report a phantom truncation.
-        patterns: List[object] = []
-        with path.open("r", encoding="utf-8") as handle:
-            header = self._parse_header(path, handle.readline())
-            key = StoreKey(header["fingerprint"], header["constraint_id"], header["parameter"])
-            if expected_key is not None and key != expected_key:
-                raise StoreFormatError(
-                    f"{path}: header key {key} does not match requested {expected_key}"
-                )
-            for line_number, line in enumerate(handle, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    patterns.append(decode_record(json.loads(line)))
-                except (json.JSONDecodeError, KeyError, ValueError) as error:
-                    raise StoreFormatError(
-                        f"{path}:{line_number}: corrupt pattern record ({error})"
-                    ) from error
-        if len(patterns) != header.get("num_patterns", len(patterns)):
-            raise StoreFormatError(
-                f"{path}: truncated entry — header promises {header['num_patterns']} "
-                f"patterns, file holds {len(patterns)}"
-            )
-        return IndexEntry(
-            key=key,
-            patterns=patterns,
-            build_seconds=header.get("build_seconds", 0.0),
-            created_at=header.get("created_at", 0.0),
-        )
-
-    def info(self) -> List[Dict]:
-        summaries: List[Dict] = []
-        for path in sorted(self._root.glob("*/*/*.jsonl")):
-            header = self._read_header(path)
-            summaries.append(
-                {
-                    "fingerprint": header["fingerprint"],
-                    "constraint_id": header["constraint_id"],
-                    "parameter": decode_parameter(header["parameter"]),
-                    "num_patterns": header["num_patterns"],
-                    "build_seconds": header["build_seconds"],
-                    "created_at": header["created_at"],
-                    "size_bytes": path.stat().st_size,
-                    "path": str(path),
-                }
-            )
-        return summaries

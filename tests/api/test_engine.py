@@ -19,7 +19,7 @@ from repro.graph.generators import (
     random_transaction_database,
 )
 from repro.graph.labeled_graph import build_graph
-from repro.index.store import DiskPatternStore, MemoryPatternStore
+from repro.index import MemoryPatternStore, SqlitePatternStore
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +273,7 @@ class TestStoreIntegration:
     def test_constraints_coexist_in_one_disk_store(self, tmp_path):
         store_root = tmp_path / "idx"
         graph = chains_graph()
-        engine = MiningEngine(graph, store=DiskPatternStore(store_root))
+        engine = MiningEngine(graph, store=SqlitePatternStore(store_root))
         queries = [
             Query("skinny", {"length": 3, "delta": 1}, min_support=2),
             Query("path", {"length": 3}, min_support=2),
@@ -285,7 +285,7 @@ class TestStoreIntegration:
         assert constraint_ids == {"skinny", "path", "diam-le"}
 
         # A fresh engine over the same directory serves every constraint warm.
-        warm_engine = MiningEngine(graph, store=DiskPatternStore(store_root))
+        warm_engine = MiningEngine(graph, store=SqlitePatternStore(store_root))
         for query, cold_result in zip(queries, cold):
             warm = warm_engine.run(query)
             assert warm.stats.served_from_store
@@ -295,7 +295,7 @@ class TestStoreIntegration:
 
     def test_apply_delta_repairs_path_indexed_and_invalidates_others(self, tmp_path):
         graph = chains_graph()
-        engine = MiningEngine(graph, store=DiskPatternStore(tmp_path / "idx"))
+        engine = MiningEngine(graph, store=SqlitePatternStore(tmp_path / "idx"))
         engine.run(Query("skinny", {"length": 3, "delta": 1}, min_support=2))
         engine.run(Query("path", {"length": 3}, min_support=2))
         engine.run(Query("diam-le", {"k": 2}, min_support=2))
@@ -371,7 +371,7 @@ class TestStoreIntegration:
         assert chained and all({"a", "d"} <= set(m.labels) for m in chained)
 
     def test_warm_disk_store_skips_stage_one(self, data_graph, tmp_path, monkeypatch):
-        MiningEngine(data_graph, store=DiskPatternStore(tmp_path / "idx")).run(SKINNY)
+        MiningEngine(data_graph, store=SqlitePatternStore(tmp_path / "idx")).run(SKINNY)
         reference = SkinnyMine(data_graph, min_support=2).mine(5, 1)
 
         # A fresh engine over the same directory must never re-run DiamMine.
@@ -381,15 +381,15 @@ class TestStoreIntegration:
             raise AssertionError("Stage 1 was recomputed despite a warm store")
 
         monkeypatch.setattr(diammine.DiamMine, "mine", explode)
-        warm = MiningEngine(data_graph, store=DiskPatternStore(tmp_path / "idx")).run(SKINNY)
+        warm = MiningEngine(data_graph, store=SqlitePatternStore(tmp_path / "idx")).run(SKINNY)
         assert warm.stats.served_from_store
         assert not warm.stats.result_cache_hit
         assert full_serialisations(warm.patterns) == full_serialisations(reference)
 
     def test_store_miss_on_different_data(self, data_graph, tmp_path):
-        MiningEngine(data_graph, store=DiskPatternStore(tmp_path / "idx")).run(SKINNY)
+        MiningEngine(data_graph, store=SqlitePatternStore(tmp_path / "idx")).run(SKINNY)
         other = erdos_renyi_graph(60, 1.2, 9, seed=5)
-        engine = MiningEngine(other, store=DiskPatternStore(tmp_path / "idx"))
+        engine = MiningEngine(other, store=SqlitePatternStore(tmp_path / "idx"))
         result = engine.run(Query("skinny", {"length": 2, "delta": 1}, min_support=2))
         assert not result.stats.served_from_store
 
@@ -397,10 +397,10 @@ class TestStoreIntegration:
         graph = chains_graph()
         store_root = tmp_path / "idx"
         capped = MiningEngine(
-            graph, store=DiskPatternStore(store_root), max_paths_per_length=1
+            graph, store=SqlitePatternStore(store_root), max_paths_per_length=1
         )
         capped.run(Query("path", {"length": 3}, min_support=2))
-        uncapped = MiningEngine(graph, store=DiskPatternStore(store_root))
+        uncapped = MiningEngine(graph, store=SqlitePatternStore(store_root))
         result = uncapped.run(Query("path", {"length": 3}, min_support=2))
         assert not result.stats.served_from_store
 
@@ -447,12 +447,12 @@ class TestPrecomputeQueries:
 
     def test_warm_entries_not_recomputed(self, tmp_path):
         graph = chains_graph()
-        store = DiskPatternStore(tmp_path)
+        store = SqlitePatternStore(tmp_path)
         query = Query("path", {"length": 3}, min_support=2)
         MiningEngine(graph, store=store).precompute_queries([query])
         created = store.get(store.keys()[0]).created_at
         (summary,) = MiningEngine(
-            graph, store=DiskPatternStore(tmp_path)
+            graph, store=SqlitePatternStore(tmp_path)
         ).precompute_queries([query], processes=2)
         assert summary["served_from_store"]
         assert store.get(store.keys()[0]).created_at == created
@@ -532,7 +532,7 @@ class TestDeltas:
 
     def test_apply_delta_repairs_store_in_place(self, data_graph, tmp_path):
         graph = data_graph.copy()
-        engine = MiningEngine(graph, store=DiskPatternStore(tmp_path))
+        engine = MiningEngine(graph, store=SqlitePatternStore(tmp_path))
         engine.run(SKINNY)
         edge = next(iter(graph.edges()))
         report = engine.apply_delta([EdgeDelta.remove_edge(edge.u, edge.v)])

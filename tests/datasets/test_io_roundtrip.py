@@ -16,7 +16,7 @@ from repro.core.database import MiningContext
 from repro.core.diammine import DiamMine
 from repro.graph.canonical import canonical_key
 from repro.graph.io import read_lg, write_lg
-from repro.index.store import DiskPatternStore, IndexEntry, MemoryPatternStore, StoreKey
+from repro.index import IndexEntry, MemoryPatternStore, SqlitePatternStore, StoreKey
 
 
 def stringified(graph):
@@ -114,7 +114,7 @@ class TestIndexStoreRoundtrip:
         assert patterns, "expected frequent length-3 paths in GID 1"
 
         store = (
-            MemoryPatternStore() if backend == "memory" else DiskPatternStore(tmp_path)
+            MemoryPatternStore() if backend == "memory" else SqlitePatternStore(tmp_path)
         )
         key = StoreKey.make(
             dataset_fingerprint([dataset.graph]),
@@ -123,7 +123,7 @@ class TestIndexStoreRoundtrip:
         )
         store.put(IndexEntry(key=key, patterns=patterns))
 
-        reader = store if backend == "memory" else DiskPatternStore(tmp_path)
+        reader = store if backend == "memory" else SqlitePatternStore(tmp_path)
         reloaded = reader.get(key).patterns
         assert [(p.labels, p.support) for p in reloaded] == [
             (p.labels, p.support) for p in patterns

@@ -1,12 +1,14 @@
-"""Backend parity: jsonl and sqlite stores answer byte-identically (ISSUE 10).
+"""Store parity: the memory and SQLite stores answer byte-identically.
 
-The SQLite backend changes *where* pattern metadata lives (indexed columns
-vs JSONL scan), never *what* a query answers.  This suite runs the
-13-scenario corpus from ``tests/core/test_emission_fast_path.py`` through
-:class:`MiningEngine` twice — once over a :class:`DiskPatternStore`, once
-over a :class:`SqlitePatternStore` — and requires byte-identical ``Result``
+The SQLite store changes *where* Stage-1 entries and pattern metadata live
+(indexed columns on disk vs a process-local dict), never *what* a query
+answers.  This suite runs the 13-scenario corpus from
+``tests/core/test_emission_fast_path.py`` through :class:`MiningEngine`
+twice — once over a :class:`MemoryPatternStore`, once over a
+:class:`SqlitePatternStore` — and requires byte-identical ``Result``
 serialisations (timings excluded: ``stats`` is wall-clock), identical
-warm-store re-serves, and identical corpus-query answers.
+warm re-serves, and identical corpus-query answers.  The SQLite warm leg
+reopens the database, so the persisted entry itself is what round-trips.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import MiningEngine, Query
-from repro.index import DiskPatternStore, SqlitePatternStore
+from repro.index import MemoryPatternStore, SqlitePatternStore, decode_count
 
 _scenarios_spec = importlib.util.spec_from_file_location(
     "_emission_fast_path_scenarios",
@@ -28,14 +30,6 @@ _scenarios = importlib.util.module_from_spec(_scenarios_spec)
 _scenarios_spec.loader.exec_module(_scenarios)
 SCENARIOS = _scenarios.SCENARIOS
 build_scenario = _scenarios.build_scenario
-
-BACKENDS = ("jsonl", "sqlite")
-
-
-def make_store(backend, root):
-    if backend == "sqlite":
-        return SqlitePatternStore(root)
-    return DiskPatternStore(root)
 
 
 def scenario_graphs(kind, seed, params):
@@ -71,25 +65,35 @@ class TestBackendParity:
         self, tmp_path, kind, seed, params, length, delta, sigma, measure
     ):
         query = scenario_query(length, delta, sigma, measure)
-        cold, warm, corpus = {}, {}, {}
-        for backend in BACKENDS:
-            store = make_store(backend, tmp_path / backend)
-            engine = MiningEngine(
-                scenario_graphs(kind, seed, params), store=store
-            )
-            cold[backend] = result_bytes(engine.run(query))
-            # A fresh engine over the same store serves Stage 1 warm —
-            # the persisted entry must round-trip identically too.
-            warm_engine = MiningEngine(
-                scenario_graphs(kind, seed, params), store=store
-            )
-            warm_result = warm_engine.run(query)
-            assert warm_result.stats.served_from_store
-            warm[backend] = result_bytes(warm_result)
-            corpus[backend] = query_bytes(
-                store.query(order_by="-support", min_size=1)
-            )
-        assert cold["jsonl"] == cold["sqlite"]
-        assert warm["jsonl"] == warm["sqlite"]
-        assert cold["jsonl"] == warm["jsonl"]
-        assert corpus["jsonl"] == corpus["sqlite"]
+
+        memory = MemoryPatternStore()
+        cold_memory = result_bytes(
+            MiningEngine(scenario_graphs(kind, seed, params), store=memory).run(query)
+        )
+        # A fresh engine over the same store serves Stage 1 warm.
+        warm = MiningEngine(scenario_graphs(kind, seed, params), store=memory).run(query)
+        assert warm.stats.served_from_store
+        warm_memory = result_bytes(warm)
+
+        sqlite = SqlitePatternStore(tmp_path)
+        cold_sqlite = result_bytes(
+            MiningEngine(scenario_graphs(kind, seed, params), store=sqlite).run(query)
+        )
+        sqlite.close()
+        # A reopened store has an empty entry cache: the warm leg must decode
+        # the persisted entry, so it is the database that round-trips.
+        sqlite = SqlitePatternStore(tmp_path)
+        decodes_before = decode_count()
+        warm = MiningEngine(scenario_graphs(kind, seed, params), store=sqlite).run(query)
+        assert warm.stats.served_from_store
+        assert warm.stats.num_minimal_patterns > 0
+        assert decode_count() - decodes_before == warm.stats.num_minimal_patterns
+        warm_sqlite = result_bytes(warm)
+
+        assert cold_memory == cold_sqlite
+        assert warm_memory == warm_sqlite
+        assert cold_memory == warm_memory
+        assert query_bytes(memory.query(order_by="-support", min_size=1)) == query_bytes(
+            sqlite.query(order_by="-support", min_size=1)
+        )
+        sqlite.close()

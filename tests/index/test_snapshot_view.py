@@ -5,8 +5,8 @@ import pytest
 from repro.core.database import MiningContext
 from repro.core.diammine import DiamMine
 from repro.graph.labeled_graph import build_graph
+from repro.index.sqlite_store import SqlitePatternStore
 from repro.index.store import (
-    DiskPatternStore,
     IndexEntry,
     MemoryPatternStore,
     SnapshotStoreView,
@@ -20,7 +20,7 @@ def entry(fingerprint="fp", constraint="path", parameter=None, patterns=("p1",))
 
 
 def codec_safe_entry():
-    """An entry whose patterns survive the disk codec (real mined paths)."""
+    """An entry whose patterns survive the store codec (real mined paths)."""
     graph = build_graph(
         {0: "a", 1: "b", 2: "c", 3: "b", 4: "a"},
         [(0, 1), (1, 2), (2, 3), (3, 4)],
@@ -96,23 +96,7 @@ class TestSnapshotStoreView:
         assert len(gen1.get(stored.key).patterns) == 1
         assert len(gen2.get(stored.key).patterns) == 3
 
-    def test_view_over_disk_store(self, tmp_path):
-        base = DiskPatternStore(tmp_path / "index")
-        stored = codec_safe_entry()
-        base.put(stored)
-        view = base.snapshot_view()
-        assert isinstance(view, SnapshotStoreView)
-        view.delete(stored.key)
-        assert view.get(stored.key) is None
-        # No disk mutation happened: a fresh store over the same root
-        # still reads the entry.
-        reread = DiskPatternStore(tmp_path / "index").get(stored.key)
-        assert reread is not None
-        assert reread.patterns == stored.patterns
-
     def test_view_over_sqlite_store(self, tmp_path):
-        from repro.index.sqlite_store import SqlitePatternStore
-
         base = SqlitePatternStore(tmp_path / "index")
         stored = codec_safe_entry()
         base.put(stored)
@@ -124,7 +108,21 @@ class TestSnapshotStoreView:
         # still reads the entry.
         reread = SqlitePatternStore(tmp_path / "index").get(stored.key)
         assert reread is not None
-        assert len(reread.patterns) == len(stored.patterns)
+        assert reread.patterns == stored.patterns
+
+    def test_view_put_over_sqlite_store_stays_off_disk(self, tmp_path):
+        base = SqlitePatternStore(tmp_path / "index")
+        stored = codec_safe_entry()
+        view = base.snapshot_view()
+        view.put(stored)
+        assert view.get(stored.key) is stored
+        # The overlay lives in the view only: neither the base instance nor
+        # a fresh store over the same database sees the entry.
+        assert base.get(stored.key) is None
+        fresh = SqlitePatternStore(tmp_path / "index")
+        assert fresh.keys() == []
+        fresh.close()
+        base.close()
 
     def test_info_reflects_the_view(self):
         base = MemoryPatternStore()
@@ -136,15 +134,11 @@ class TestSnapshotStoreView:
         assert len(base.info()) == 1
 
 
-@pytest.mark.parametrize("backend", ["memory", "disk", "sqlite"])
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_clear_on_view_leaves_base_intact(tmp_path, backend):
     if backend == "memory":
         base = MemoryPatternStore()
-    elif backend == "disk":
-        base = DiskPatternStore(tmp_path / "index")
     else:
-        from repro.index.sqlite_store import SqlitePatternStore
-
         base = SqlitePatternStore(tmp_path / "index")
     stored = entry() if backend == "memory" else codec_safe_entry()
     base.put(stored)

@@ -1,6 +1,5 @@
 """WAL publication: concurrent SQLite readers never see torn entries.
 
-The SQLite analogue of ``tests/index/test_concurrent_readers.py``:
 ``SqlitePatternStore.put`` replaces an entry inside one immediate
 transaction, and ``get`` reads the entry row and its pattern rows inside
 one deferred transaction, so a reader racing a writer must observe either

@@ -1,34 +1,36 @@
-"""SqlitePatternStore: CRUD, WAL mode, indexed queries, backend selection.
+"""SqlitePatternStore: CRUD, WAL mode, format guards, indexed queries.
 
-The contract under test (ISSUE 10): the SQLite backend is a drop-in
+The contract under test: the one persistent store is a drop-in
 :class:`PatternStore` — same entries, same snapshot views, same repair
-semantics — whose corpus queries are answered from indexed metadata
-columns *without deserialising non-matching pattern bodies* (pinned via
-:func:`repro.index.codec.decode_count`).
+semantics as the in-memory store — whose corpus queries are answered from
+indexed metadata columns *without deserialising non-matching pattern
+bodies* (pinned via :func:`repro.index.codec.decode_count`), and which
+refuses databases and directories it cannot serve correctly.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
+import threading
 
 import pytest
 
+from repro.core.database import MiningContext
+from repro.core.diammine import DiamMine
 from repro.core.patterns import PathPattern, SkinnyPattern
 from repro.graph.labeled_graph import build_graph
 from repro.index import (
-    BACKEND_ENV_VAR,
-    DiskPatternStore,
+    CodecError,
     IndexEntry,
     MemoryPatternStore,
     SqlitePatternStore,
+    StoreFormatError,
     StoreKey,
     decode_count,
-    detect_store_backend,
-    open_pattern_store,
-    resolve_store_backend,
 )
-from repro.index.store import StoreFormatError
+from repro.index.sqlite_store import SQLITE_SCHEMA_VERSION
+from repro.index.store import FORMAT_NAME
 
 
 def path_pattern(labels, support):
@@ -38,6 +40,32 @@ def path_pattern(labels, support):
 def skinny_pattern(support=5):
     graph = build_graph({0: "a", 1: "b", 2: "c"}, [(0, 1), (1, 2)])
     return SkinnyPattern(graph=graph, diameter=[0, 1, 2], embeddings=[], support=support)
+
+
+def mined_paths():
+    """Real Stage-1 output: frequent 2-paths with their embeddings."""
+    graph = build_graph(
+        {0: "a", 1: "b", 2: "c", 3: "b", 4: "a"},
+        [(0, 1), (1, 2), (2, 3), (3, 4)],
+    )
+    return DiamMine(MiningContext(graph, 1)).mine(2)
+
+
+def write_jsonl_era_entry(root):
+    """One entry file of a 2.x JSONL store: a header line, no patterns."""
+    header = {
+        "format": "repro-pattern-index",
+        "version": 1,
+        "fingerprint": "fp",
+        "constraint_id": "skinny",
+        "parameter": '{"length":3}',
+        "num_patterns": 0,
+        "build_seconds": 0.0,
+        "created_at": 0.0,
+    }
+    path = root / "fp" / "skinny" / "abc.jsonl"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(header) + "\n", encoding="utf-8")
 
 
 KEY_A = StoreKey.make("fp-one", "path", {"length": 2})
@@ -72,6 +100,35 @@ class TestCrudRoundtrip:
         assert reopened.get(StoreKey.make("fp-one", "path", {"length": 99})) is None
         reopened.close()
 
+    def test_mined_entry_roundtrip_keeps_embeddings(self, tmp_path):
+        # Embeddings are Stage 2's input: they must come back off disk intact.
+        store = SqlitePatternStore(tmp_path)
+        mined = mined_paths()
+        key = StoreKey.make("fp-two", "skinny", {"length": 2, "min_support": 1})
+        store.put(IndexEntry(key=key, patterns=mined, build_seconds=1.25))
+        store.close()
+        reopened = SqlitePatternStore(tmp_path)
+        entry = reopened.get(key)
+        assert entry.build_seconds == 1.25
+        assert [p.labels for p in entry.patterns] == [p.labels for p in mined]
+        assert [p.embeddings for p in entry.patterns] == [p.embeddings for p in mined]
+        assert [p.support for p in entry.patterns] == [p.support for p in mined]
+        assert reopened.keys() == [key]
+        reopened.close()
+
+    def test_warm_get_is_served_from_the_entry_cache(self, tmp_path):
+        store = SqlitePatternStore(tmp_path)
+        fill(store)
+        store.close()
+        reopened = SqlitePatternStore(tmp_path)
+        before = decode_count()
+        cold = reopened.get(KEY_A)
+        assert decode_count() - before == 2
+        # The second get decodes nothing and hands back the cached entry.
+        assert reopened.get(KEY_A) is cold
+        assert decode_count() - before == 2
+        reopened.close()
+
     def test_put_replaces_and_delete_removes(self, tmp_path):
         store = SqlitePatternStore(tmp_path)
         fill(store)
@@ -83,6 +140,43 @@ class TestCrudRoundtrip:
         assert store.get(KEY_A) is None
         assert len(store) == 2
         store.close()
+
+    def test_delete_is_durable(self, tmp_path):
+        # A delete removes the rows, not just the entry-cache slot.
+        store = SqlitePatternStore(tmp_path)
+        fill(store)
+        assert store.delete(KEY_A)
+        store.close()
+        reopened = SqlitePatternStore(tmp_path)
+        assert reopened.get(KEY_A) is None
+        assert set(reopened.keys()) == {KEY_B, KEY_C}
+        reopened.close()
+
+    def test_failed_put_leaves_previous_entry(self, tmp_path):
+        # Every body is encoded before the write transaction opens, so an
+        # unencodable pattern fails the put without touching the stored entry.
+        store = SqlitePatternStore(tmp_path)
+        fill(store)
+        with pytest.raises(CodecError):
+            store.put(IndexEntry(key=KEY_A, patterns=[path_pattern("z", 1), object()]))
+        assert [p.labels for p in store.get(KEY_A).patterns] == [("a", "b", "c"), ("a", "a")]
+        store.close()
+        reopened = SqlitePatternStore(tmp_path)
+        assert [p.support for p in reopened.get(KEY_A).patterns] == [4, 9]
+        reopened.close()
+
+    def test_empty_fingerprint_entries_are_enumerable(self, tmp_path):
+        # StoreKey allows fingerprint=""; such an entry must still be listed
+        # by keys()/info() and served by get() after a reopen.
+        store = SqlitePatternStore(tmp_path)
+        key = StoreKey.make("", "generic", (5, 1))
+        store.put(IndexEntry(key=key, patterns=mined_paths()))
+        store.close()
+        reopened = SqlitePatternStore(tmp_path)
+        assert reopened.keys() == [key]
+        assert reopened.get(key) is not None
+        assert len(reopened.info()) == 1
+        reopened.close()
 
     def test_replaced_entry_leaves_no_orphan_rows(self, tmp_path):
         store = SqlitePatternStore(tmp_path)
@@ -121,6 +215,34 @@ class TestWalAndFormat:
         assert mode == "wal"
         store.close()
 
+    def test_meta_records_format_and_version(self, tmp_path):
+        SqlitePatternStore(tmp_path).close()
+        connection = sqlite3.connect(str(tmp_path / "patterns.sqlite"))
+        meta = dict(connection.execute("SELECT key, value FROM meta").fetchall())
+        connection.close()
+        assert meta == {"format": FORMAT_NAME, "version": str(SQLITE_SCHEMA_VERSION)}
+
+    def test_close_leaves_only_the_database_file(self, tmp_path):
+        # close() must release the connections of every thread that used the
+        # store; the last one to go checkpoints and removes the WAL files.
+        store = SqlitePatternStore(tmp_path)
+        fill(store)
+        store._cache.clear()
+        reader = threading.Thread(target=store.get, args=(KEY_A,))
+        reader.start()
+        reader.join()
+        assert (tmp_path / "patterns.sqlite-wal").exists()
+        store.close()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["patterns.sqlite"]
+        reopened = SqlitePatternStore(tmp_path)
+        assert set(reopened.keys()) == {KEY_A, KEY_B, KEY_C}
+        reopened.close()
+
+    def test_corrupt_database_file_is_rejected(self, tmp_path):
+        (tmp_path / "patterns.sqlite").write_bytes(b"not a database\n" * 64)
+        with pytest.raises(StoreFormatError, match="not a readable SQLite database"):
+            SqlitePatternStore(tmp_path)
+
     def test_foreign_format_database_is_rejected(self, tmp_path):
         alien = tmp_path / "patterns.sqlite"
         connection = sqlite3.connect(str(alien))
@@ -139,6 +261,35 @@ class TestWalAndFormat:
         store.close()
         with pytest.raises(StoreFormatError, match="version"):
             SqlitePatternStore(tmp_path)
+
+    def test_jsonl_era_root_is_refused(self, tmp_path):
+        # A 2.x JSONL store: entry files, no database.  Opening it must not
+        # create an empty database beside them (every query would go cold
+        # with no explanation); it must say how to rebuild.
+        write_jsonl_era_entry(tmp_path)
+        with pytest.raises(StoreFormatError, match="repro index build"):
+            SqlitePatternStore(tmp_path)
+        assert not (tmp_path / "patterns.sqlite").exists()
+
+    def test_existing_database_beside_jsonl_files_still_opens(self, tmp_path):
+        store = SqlitePatternStore(tmp_path)
+        fill(store)
+        store.close()
+        write_jsonl_era_entry(tmp_path)
+        reopened = SqlitePatternStore(tmp_path)
+        assert len(reopened) == 3
+        reopened.close()
+
+    def test_jsonl_files_off_the_entry_layout_do_not_trip_the_guard(self, tmp_path):
+        # Only <fingerprint>/<constraint>/<file>.jsonl is a 2.x entry; query
+        # logs or traces written elsewhere under the root are not.
+        (tmp_path / "trace.jsonl").write_text("{}\n", encoding="utf-8")
+        (tmp_path / "logs").mkdir()
+        (tmp_path / "logs" / "queries.jsonl").write_text("{}\n", encoding="utf-8")
+        store = SqlitePatternStore(tmp_path)
+        assert (tmp_path / "patterns.sqlite").exists()
+        assert len(store) == 0
+        store.close()
 
 
 class TestIndexedQueries:
@@ -180,9 +331,9 @@ class TestIndexedQueries:
 
     def test_match_metadata_agrees_with_scan_backend(self, tmp_path):
         sqlite_store = SqlitePatternStore(tmp_path / "s")
-        jsonl_store = DiskPatternStore(tmp_path / "j")
+        memory_store = MemoryPatternStore()
         fill(sqlite_store)
-        fill(jsonl_store)
+        fill(memory_store)
         for filters in (
             {},
             {"order_by": "-support", "limit": 3},
@@ -190,7 +341,7 @@ class TestIndexedQueries:
             {"kind": "path", "min_support": 3},
         ):
             got = [m.to_dict(include_pattern=True) for m in sqlite_store.query(**filters)]
-            want = [m.to_dict(include_pattern=True) for m in jsonl_store.query(**filters)]
+            want = [m.to_dict(include_pattern=True) for m in memory_store.query(**filters)]
             assert got == want, filters
         sqlite_store.close()
 
@@ -225,62 +376,6 @@ class TestSnapshotViewOverlay:
         store.close()
 
 
-class TestBackendSelection:
-    def test_explicit_argument_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "jsonl")
-        store = open_pattern_store(tmp_path, backend="sqlite")
-        assert isinstance(store, SqlitePatternStore)
-        store.close()
-
-    def test_environment_picks_fresh_store_format(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "sqlite")
-        store = open_pattern_store(tmp_path)
-        assert isinstance(store, SqlitePatternStore)
-        store.close()
-
-    def test_on_disk_detection_beats_environment(self, tmp_path, monkeypatch):
-        # An existing store is never reopened under the other backend: the
-        # environment variable only decides the format of fresh roots, so a
-        # suite-wide REPRO_STORE_BACKEND=sqlite cannot shadow a JSONL store
-        # somebody already built at the same path (and vice versa).
-        jsonl = DiskPatternStore(tmp_path / "j")
-        fill(jsonl)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "sqlite")
-        assert isinstance(open_pattern_store(tmp_path / "j"), DiskPatternStore)
-
-        relational = SqlitePatternStore(tmp_path / "s")
-        relational.close()
-        monkeypatch.setenv(BACKEND_ENV_VAR, "jsonl")
-        reopened = open_pattern_store(tmp_path / "s")
-        assert isinstance(reopened, SqlitePatternStore)
-        reopened.close()
-
-    def test_on_disk_detection_beats_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        first = SqlitePatternStore(tmp_path / "s")
-        first.close()
-        assert detect_store_backend(tmp_path / "s") == "sqlite"
-        reopened = open_pattern_store(tmp_path / "s")
-        assert isinstance(reopened, SqlitePatternStore)
-        reopened.close()
-
-        jsonl = DiskPatternStore(tmp_path / "j")
-        fill(jsonl)
-        assert detect_store_backend(tmp_path / "j") == "jsonl"
-        assert isinstance(open_pattern_store(tmp_path / "j"), DiskPatternStore)
-
-    def test_fresh_root_defaults_to_jsonl(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert detect_store_backend(tmp_path) is None
-        assert isinstance(open_pattern_store(tmp_path), DiskPatternStore)
-
-    def test_unknown_backend_names_are_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            open_pattern_store(tmp_path, backend="mongodb")
-        with pytest.raises(ValueError, match="REPRO_STORE_BACKEND"):
-            resolve_store_backend(None, env={"REPRO_STORE_BACKEND": "csv"})
-
-
 class TestTruncationGuard:
     def test_missing_pattern_rows_raise_store_format_error(self, tmp_path):
         store = SqlitePatternStore(tmp_path)
@@ -310,11 +405,38 @@ class TestMetrics:
         assert counter.value == 2
         store.close()
 
-    def test_jsonl_scan_publishes_same_metric_names(self, tmp_path):
+    def test_cold_reads_and_writes_publish_latencies(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        store = DiskPatternStore(tmp_path, metrics=registry)
+        store = SqlitePatternStore(tmp_path, metrics=registry)
         fill(store)
-        store.query(min_support=1)
-        assert registry.counter("repro_store_queries_total").value == 1
+        writes = registry.histogram("repro_store_write_seconds")
+        reads = registry.histogram("repro_store_read_seconds")
+        assert writes.count == 3
+        store._cache.clear()
+        store.get(KEY_A)
+        store.get(KEY_A)  # an entry-cache hit reads no database
+        assert reads.count == 1
+        store.close()
+
+
+def test_jsonl_store_and_backend_selector_are_not_exported():
+    import repro
+    import repro.index
+    import repro.index.store
+
+    assert repro.SqlitePatternStore is SqlitePatternStore
+    for name in (
+        "DiskPatternStore",
+        "open_pattern_store",
+        "resolve_store_backend",
+        "detect_store_backend",
+        "STORE_BACKENDS",
+        "BACKEND_ENV_VAR",
+    ):
+        assert not hasattr(repro, name)
+        assert name not in repro.index.__all__
+        assert not hasattr(repro.index, name)
+    assert not hasattr(repro.index.store, "DiskPatternStore")
+    assert not hasattr(repro.index.store, "FORMAT_VERSION")

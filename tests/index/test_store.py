@@ -1,8 +1,9 @@
-"""Tests for the persistent pattern-index store (memory and disk backends)."""
+"""Tests for the pattern-index store: parameter codec, memory store, record codec.
+
+The persistent SQLite store has its own suite, ``test_sqlite_store.py``.
+"""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -11,11 +12,8 @@ from repro.core.diammine import DiamMine
 from repro.graph.labeled_graph import build_graph
 from repro.index.codec import CodecError, decode_record, encode_record
 from repro.index.store import (
-    FORMAT_VERSION,
-    DiskPatternStore,
     IndexEntry,
     MemoryPatternStore,
-    StoreFormatError,
     StoreKey,
     decode_parameter,
     encode_parameter,
@@ -83,95 +81,6 @@ class TestMemoryStore:
         (summary,) = store.info()
         assert summary["num_patterns"] == len(sample_paths)
         assert summary["parameter"] == {"length": 2, "min_support": 1}
-
-
-class TestDiskStore:
-    def test_roundtrip_across_instances(self, tmp_path, sample_paths):
-        store = DiskPatternStore(tmp_path / "idx")
-        key = make_key()
-        store.put(IndexEntry(key=key, patterns=list(sample_paths), build_seconds=1.25))
-
-        reopened = DiskPatternStore(tmp_path / "idx")
-        entry = reopened.get(key)
-        assert entry is not None
-        assert entry.build_seconds == 1.25
-        assert [p.labels for p in entry.patterns] == [p.labels for p in sample_paths]
-        assert [p.embeddings for p in entry.patterns] == [
-            p.embeddings for p in sample_paths
-        ]
-        assert [p.support for p in entry.patterns] == [p.support for p in sample_paths]
-        assert reopened.keys() == [key]
-
-    def test_header_is_versioned(self, tmp_path, sample_paths):
-        store = DiskPatternStore(tmp_path)
-        store.put(IndexEntry(key=make_key(), patterns=list(sample_paths)))
-        (path,) = list((tmp_path).glob("*/*/*.jsonl"))
-        header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header["format"] == "repro-pattern-index"
-        assert header["version"] == FORMAT_VERSION
-        assert header["num_patterns"] == len(sample_paths)
-
-    def test_no_temp_files_left_behind(self, tmp_path, sample_paths):
-        store = DiskPatternStore(tmp_path)
-        for _ in range(3):
-            store.put(IndexEntry(key=make_key(), patterns=list(sample_paths)))
-        assert list(tmp_path.rglob("*.tmp")) == []
-
-    def test_unsupported_version_rejected(self, tmp_path, sample_paths):
-        store = DiskPatternStore(tmp_path)
-        key = make_key()
-        store.put(IndexEntry(key=key, patterns=list(sample_paths)))
-        (path,) = list(tmp_path.glob("*/*/*.jsonl"))
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        header["version"] = FORMAT_VERSION + 10
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
-        with pytest.raises(StoreFormatError):
-            DiskPatternStore(tmp_path).get(key)
-
-    def test_truncated_entry_rejected(self, tmp_path, sample_paths):
-        store = DiskPatternStore(tmp_path)
-        key = make_key()
-        store.put(IndexEntry(key=key, patterns=list(sample_paths)))
-        (path,) = list(tmp_path.glob("*/*/*.jsonl"))
-        lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-        with pytest.raises(StoreFormatError):
-            DiskPatternStore(tmp_path).get(key)
-
-    def test_corrupt_header_rejected(self, tmp_path):
-        store = DiskPatternStore(tmp_path)
-        bad = tmp_path / ("a" * 64) / "skinny" / "deadbeef.jsonl"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("not json\n", encoding="utf-8")
-        with pytest.raises(StoreFormatError):
-            store.keys()
-
-    def test_delete_removes_file(self, tmp_path, sample_paths):
-        store = DiskPatternStore(tmp_path)
-        key = make_key()
-        store.put(IndexEntry(key=key, patterns=list(sample_paths)))
-        assert store.delete(key)
-        assert list(tmp_path.glob("*/*/*.jsonl")) == []
-        assert DiskPatternStore(tmp_path).get(key) is None
-
-    def test_empty_fingerprint_entries_are_enumerable(self, tmp_path, sample_paths):
-        # StoreKey allows fingerprint=""; the disk layout must still occupy
-        # one directory level so keys()/info() find the entry.
-        store = DiskPatternStore(tmp_path)
-        key = StoreKey.make("", "generic", (5, 1))
-        store.put(IndexEntry(key=key, patterns=list(sample_paths)))
-        reopened = DiskPatternStore(tmp_path)
-        assert reopened.keys() == [key]
-        assert reopened.get(key) is not None
-        assert len(reopened.info()) == 1
-
-    def test_info_reports_sizes(self, tmp_path, sample_paths):
-        store = DiskPatternStore(tmp_path)
-        store.put(IndexEntry(key=make_key(), patterns=list(sample_paths)))
-        (summary,) = store.info()
-        assert summary["size_bytes"] > 0
-        assert summary["num_patterns"] == len(sample_paths)
 
 
 class TestCodec:

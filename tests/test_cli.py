@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from repro.api import MalformedQueryError, Query
-from repro.cli import _parse_lengths, load_dataset, main
+from repro.cli import _parse_lengths, build_parser, load_dataset, main
 from repro.graph.io import write_lg
 from repro.graph.labeled_graph import build_graph
+from repro.index import PatternStore, SqlitePatternStore
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -84,16 +85,79 @@ class TestIndexCommands:
         assert main(["index", "info", "--store", str(tmp_path / "empty")]) == 0
         assert "empty index store" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["index", "build", "--data", "{data}", "--lengths", "2"],
+            ["index", "info"],
+            ["index", "query"],
+            ["mine", "--data", "{data}", "-l", "3", "-d", "1"],
+            ["serve-batch", "--data", "{data}", "--requests", "{requests}"],
+        ],
+        ids=["index-build", "index-info", "index-query", "mine", "serve-batch"],
+    )
+    def test_store_commands_refuse_jsonl_era_store(self, command, lg_file, tmp_path, capsys):
+        # A 2.x JSONL store (one entry file, no database) is refused with a
+        # rebuild hint by every command that opens --store, instead of being
+        # opened as an empty SQLite store.
+        header = {
+            "format": "repro-pattern-index", "version": 1,
+            "fingerprint": "fp", "constraint_id": "skinny", "parameter": '{"length":3}',
+            "num_patterns": 0, "build_seconds": 0.0, "created_at": 0.0,
+        }
+        legacy = tmp_path / "old-store" / "fp" / "skinny" / "abc.jsonl"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        requests = tmp_path / "requests.json"
+        requests.write_text(
+            json.dumps([Query("skinny", {"length": 2, "delta": 1}).to_dict()]),
+            encoding="utf-8",
+        )
+        argv = [
+            arg.format(data=lg_file, requests=requests) for arg in command
+        ] + ["--store", str(tmp_path / "old-store")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "JSONL" in err and "repro index build" in err
+        assert not (tmp_path / "old-store" / "patterns.sqlite").exists()
+
+    def test_corrupt_database_exits_one(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "patterns.sqlite").write_bytes(b"not a database\n" * 64)
+        assert main(["index", "info", "--store", str(store)]) == 1
+        err = capsys.readouterr().err
+        assert "not a readable SQLite database" in err
+        assert "Traceback" not in err
+
+    def test_no_subcommand_takes_a_backend_flag(self, capsys):
+        # 3.0 has one store format: --backend is gone from every subcommand,
+        # so an old script that still passes it gets a usage error.
+        argvs = [
+            ["index", "build", "--data", "demo", "--store", "s"],
+            ["index", "info", "--store", "s"],
+            ["index", "query", "--store", "s"],
+            ["mine", "--data", "demo", "-l", "3"],
+            ["serve-batch", "--data", "demo", "--requests", "r.json"],
+            ["serve", "--data", "demo"],
+        ]
+        parser = build_parser()
+        for argv in argvs:
+            # Parsing only: a handler (serve's in particular) never runs.
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(argv + ["--backend", "sqlite"])
+            assert exit_info.value.code == 2, argv
+            assert "unrecognized arguments: --backend sqlite" in capsys.readouterr().err
+
 
 class TestIndexQueryAndBackends:
-    def _build(self, lg_file, store, backend):
+    def _build(self, lg_file, store):
         assert (
             main(
                 [
                     "index", "build",
                     "--data", str(lg_file),
                     "--store", str(store),
-                    "--backend", backend,
                     "--lengths", "2,3",
                     "--min-support", "2",
                     "--json",
@@ -104,7 +168,7 @@ class TestIndexQueryAndBackends:
 
     def test_sqlite_build_info_query(self, lg_file, tmp_path, capsys):
         store = tmp_path / "store"
-        self._build(lg_file, store, "sqlite")
+        self._build(lg_file, store)
         capsys.readouterr()
         assert (store / "patterns.sqlite").exists()
 
@@ -131,50 +195,37 @@ class TestIndexQueryAndBackends:
         supports = [row["support"] for row in rows]
         assert supports == sorted(supports, reverse=True)
 
-    def test_query_identical_across_backends(self, lg_file, tmp_path, capsys):
-        outputs = {}
-        for backend in ("jsonl", "sqlite"):
-            store = tmp_path / backend
-            self._build(lg_file, store, backend)
-            capsys.readouterr()
-            assert (
-                main(
-                    [
-                        "index", "query",
-                        "--store", str(store),
-                        "--min-support", "2",
-                        "--order-by", "size",
-                        "--json",
-                        "--include-patterns",
-                    ]
-                )
-                == 0
-            )
-            outputs[backend] = capsys.readouterr().out
-        assert outputs["jsonl"] == outputs["sqlite"]
-
-    def test_backend_from_environment(self, lg_file, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        store = tmp_path / "env-store"
+    def test_query_matches_the_scan_over_the_same_store(self, lg_file, tmp_path, capsys):
+        # The indexed SQL path answers exactly what the base-class scan
+        # (decode every entry, filter and order in Python) answers.
+        store = tmp_path / "store"
+        self._build(lg_file, store)
+        capsys.readouterr()
         assert (
             main(
                 [
-                    "mine",
-                    "--data", str(lg_file),
+                    "index", "query",
                     "--store", str(store),
-                    "-l", "3", "-d", "1",
                     "--min-support", "2",
+                    "--order-by", "size",
                     "--json",
+                    "--include-patterns",
                 ]
             )
             == 0
         )
-        capsys.readouterr()
-        assert (store / "patterns.sqlite").exists()
+        rows = json.loads(capsys.readouterr().out)
+        reopened = SqlitePatternStore(store)
+        scanned = PatternStore.query(reopened, min_support=2, order_by="size")
+        reopened.close()
+        assert rows, "expected frequent patterns in the built store"
+        assert rows == json.loads(
+            json.dumps([match.to_dict(include_pattern=True) for match in scanned])
+        )
 
     def test_query_limit_and_table_output(self, lg_file, tmp_path, capsys):
         store = tmp_path / "store"
-        self._build(lg_file, store, "sqlite")
+        self._build(lg_file, store)
         capsys.readouterr()
         assert (
             main(
@@ -187,7 +238,7 @@ class TestIndexQueryAndBackends:
 
     def test_query_bad_filter_exits_one(self, lg_file, tmp_path, capsys):
         store = tmp_path / "store"
-        self._build(lg_file, store, "sqlite")
+        self._build(lg_file, store)
         capsys.readouterr()
         assert (
             main(["index", "query", "--store", str(store), "--limit", "-3"]) == 1
@@ -229,8 +280,8 @@ class TestMineCommand:
         assert all(p["support"] >= 2 for p in payload["patterns"])
 
     def test_mine_persists_to_fresh_store(self, lg_file, tmp_path, capsys):
-        # Regression: an empty DiskPatternStore is falsy; `mine --store` must
-        # still use (and warm) it rather than falling back to memory.
+        # Regression: an empty store is falsy; `mine --store` must still use
+        # (and warm) it rather than falling back to memory.
         store = tmp_path / "fresh-store"
         assert (
             main(
@@ -246,11 +297,8 @@ class TestMineCommand:
             == 0
         )
         assert "cold" in capsys.readouterr().out
-        # Backend-agnostic persistence check: jsonl entry files or the
-        # sqlite database, whichever REPRO_STORE_BACKEND selected.
-        from repro.index import detect_store_backend
-
-        assert detect_store_backend(store) is not None, "Stage-1 entry was not persisted"
+        assert (store / "patterns.sqlite").exists()
+        assert SqlitePatternStore(store).keys(), "Stage-1 entry was not persisted"
         assert (
             main(
                 [
@@ -265,6 +313,28 @@ class TestMineCommand:
             == 0
         )
         assert "warm index" in capsys.readouterr().out
+
+    def test_mine_ignores_removed_backend_variable(self, lg_file, tmp_path, capsys, monkeypatch):
+        # REPRO_STORE_BACKEND selected the 2.x store format; a shell that
+        # still exports it must get the one SQLite store, not JSONL files.
+        monkeypatch.setenv("REPRO_STORE_BACKEND", "jsonl")
+        store = tmp_path / "env-store"
+        assert (
+            main(
+                [
+                    "mine",
+                    "--data", str(lg_file),
+                    "--store", str(store),
+                    "-l", "3", "-d", "1",
+                    "--min-support", "2",
+                    "--json",
+                ]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        assert (store / "patterns.sqlite").exists()
+        assert list(store.rglob("*.jsonl")) == []
 
     def test_mine_without_store(self, lg_file, capsys):
         assert (

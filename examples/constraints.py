@@ -48,66 +48,65 @@ def main() -> None:
     planted = random_skinny_pattern(6, 1, 9, 25, seed=2)
     inject_pattern(background, planted, copies=3, seed=3)
 
-    store_root = tempfile.mkdtemp(prefix="repro-constraints-")
-    engine = MiningEngine(background, store=SqlitePatternStore(store_root))
-    print(f"engine stage-1 mode: {engine.stage1_mode.value}")
+    with tempfile.TemporaryDirectory(prefix="repro-constraints-") as store_root:
+        engine = MiningEngine(background, store=SqlitePatternStore(store_root))
+        print(f"engine stage-1 mode: {engine.stage1_mode.value}")
 
-    # 1. Three constraints, one entry point.
-    queries = [
-        Query("skinny", {"length": 6, "delta": 1}, min_support=2, top_k=5),
-        Query("path", {"length": 5}, min_support=2, top_k=5),
-        Query("diam-le", {"k": 2}, min_support=3, top_k=5),
-    ]
-    counts = {}
-    for query in queries:
-        result = engine.run(query)
-        stats = result.stats
-        counts[query.constraint_id] = len(result.patterns)
-        print(
-            f"{query.constraint_id:<8s} {dict(query.params)}: "
-            f"{len(result.patterns)} pattern(s) "
-            f"(stage 1 {stats.stage_one_seconds:.4f}s, "
-            f"stage 2 {stats.stage_two_seconds:.4f}s)"
-        )
-        for pattern in result.patterns[:3]:
+        # 1. Three constraints, one entry point.
+        queries = [
+            Query("skinny", {"length": 6, "delta": 1}, min_support=2, top_k=5),
+            Query("path", {"length": 5}, min_support=2, top_k=5),
+            Query("diam-le", {"k": 2}, min_support=3, top_k=5),
+        ]
+        counts = {}
+        for query in queries:
+            result = engine.run(query)
+            stats = result.stats
+            counts[query.constraint_id] = len(result.patterns)
             print(
-                f"    support={pattern.support:<4d} |V|={pattern.num_vertices:<3d}"
-                f" |E|={pattern.num_edges}"
+                f"{query.constraint_id:<8s} {dict(query.params)}: "
+                f"{len(result.patterns)} pattern(s) "
+                f"(stage 1 {stats.stage_one_seconds:.4f}s, "
+                f"stage 2 {stats.stage_two_seconds:.4f}s)"
             )
-    assert counts == {"skinny": 5, "path": 5, "diam-le": 5}, counts
+            for pattern in result.patterns[:3]:
+                print(
+                    f"    support={pattern.support:<4d} |V|={pattern.num_vertices:<3d}"
+                    f" |E|={pattern.num_edges}"
+                )
+        assert counts == {"skinny": 5, "path": 5, "diam-le": 5}, counts
 
-    # 2. Every constraint now owns entries in the same store directory; the
-    #    path-indexed ones carry the exactness mode in their parameter.
-    print(f"\nstore at {store_root}:")
-    entries = engine.store.info()
-    for entry in entries:
-        print(
-            f"  [{entry['constraint_id']}] {entry['parameter']} — "
-            f"{entry['num_patterns']} minimal pattern(s)"
+        # 2. Every constraint now owns entries in the same store directory; the
+        #    path-indexed ones carry the exactness mode in their parameter.
+        print(f"\nstore at {store_root}:")
+        entries = engine.store.info()
+        for entry in entries:
+            print(
+                f"  [{entry['constraint_id']}] {entry['parameter']} — "
+                f"{entry['num_patterns']} minimal pattern(s)"
+            )
+        assert {entry["constraint_id"] for entry in entries} == {
+            "skinny", "path", "diam-le",
+        }
+        assert all(
+            entry["parameter"].get("stage1_mode") == "exact"
+            for entry in entries
+            if entry["constraint_id"] in ("skinny", "path")
+        ), entries
+
+        # 3. A custom constraint plugs into the same machinery.
+        register_constraint(
+            "diam-tiny",
+            lambda params, caps, include_minimal: BoundedDiameterDriver(
+                max_edges=3, include_minimal=include_minimal
+            ),
+            params=(ParamSpec("k", int, required=True, minimum=1),),
+            description="bounded diameter with at most 3 edges",
+            replace=True,
         )
-    assert {entry["constraint_id"] for entry in entries} == {
-        "skinny", "path", "diam-le",
-    }
-    assert all(
-        entry["parameter"].get("stage1_mode") == "exact"
-        for entry in entries
-        if entry["constraint_id"] in ("skinny", "path")
-    ), entries
-
-    # 3. A custom constraint plugs into the same machinery.
-    register_constraint(
-        "diam-tiny",
-        lambda params, caps, include_minimal: BoundedDiameterDriver(
-            max_edges=3, include_minimal=include_minimal
-        ),
-        params=(ParamSpec("k", int, required=True, minimum=1),),
-        description="bounded diameter with at most 3 edges",
-        deduplicate=True,
-        replace=True,
-    )
-    result = engine.run(Query("diam-tiny", {"k": 2}, min_support=3, top_k=5))
-    print(f"\ncustom 'diam-tiny' constraint: {len(result.patterns)} pattern(s)")
-    assert len(result.patterns) == 5, len(result.patterns)
+        result = engine.run(Query("diam-tiny", {"k": 2}, min_support=3, top_k=5))
+        print(f"\ncustom 'diam-tiny' constraint: {len(result.patterns)} pattern(s)")
+        assert len(result.patterns) == 5, len(result.patterns)
 
 
 if __name__ == "__main__":

@@ -141,6 +141,5 @@ register_constraint(
         make_driver=_make_diameter_driver,
         driver_parameter=_diameter_parameter,
         predicate_factory=lambda params: bounded_diameter_constraint(params["k"]),
-        deduplicate=True,
     )
 )

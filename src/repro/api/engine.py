@@ -9,9 +9,9 @@ callers all go through it, for every registered constraint.  It owns:
   miss runs the constraint's driver and persists the result.  Different
   constraints coexist in one store directory because ``constraint_id`` is now
   a load-bearing part of the key, not a constant.
-* **Stage 2** — the driver grows each minimal pattern under the constraint;
-  results are optionally deduplicated (overlapping clusters), ranked and
-  ``top_k``-truncated.
+* **Stage 2** — the query's driver grows each minimal pattern under the
+  constraint (returning each pattern once per query); results are ranked
+  and ``top_k``-truncated.
 * A canonical-key LRU **result cache** makes repeated queries O(1), and
   every query appends a :class:`~repro.api.query.QueryStats` to ``stats_log``.
 * **apply_delta** routes data edits through
@@ -67,9 +67,13 @@ class MiningEngine:
         Number of complete results kept in the LRU result cache.
     max_paths_per_length / max_patterns_per_diameter:
         Optional safety caps forwarded to constraint drivers that honour them
-        (Stage-1 path caps for ``skinny``/``path``, per-cluster growth caps
-        for ``skinny``/``diam-le``).  Engaged Stage-1 caps become part of the
-        store key so truncated entries are never served to uncapped engines.
+        (Stage-1 path caps for ``skinny``/``path``; growth caps for
+        ``skinny`` and ``diam-le``).  ``max_patterns_per_diameter`` caps
+        each cluster of a ``skinny`` query, but the whole ``diam-le`` answer
+        of a query: that driver stops after N patterns, the first N it
+        discovers, before ranking and ``top_k``.  Engaged Stage-1 caps
+        become part of the store key so truncated entries are never served
+        to uncapped engines.
     stage1_mode:
         Stage-1 exactness contract (:class:`repro.core.diammine.Stage1Mode`)
         for the path-indexed constraints.  The default ``EXACT`` is the
@@ -383,21 +387,6 @@ class MiningEngine:
     # Stage 2 + query serving
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _deduplicated(patterns: List[SkinnyPattern]) -> List[SkinnyPattern]:
-        """Collapse isomorphic results reached from different minimal patterns."""
-        best: Dict[tuple, SkinnyPattern] = {}
-        order: List[tuple] = []
-        for pattern in patterns:
-            key = pattern.canonical_form()
-            kept = best.get(key)
-            if kept is None:
-                best[key] = pattern
-                order.append(key)
-            elif pattern.support > kept.support:
-                best[key] = pattern
-        return [best[key] for key in order]
-
-    @staticmethod
     def _ranked(patterns: List[SkinnyPattern], top_k: Optional[int]) -> List[SkinnyPattern]:
         ranked = sorted(
             patterns,
@@ -477,8 +466,6 @@ class MiningEngine:
         with self._tracer.span("stage2", constraint=spec.constraint_id) as stage_span:
             for minimal_pattern in minimal:
                 patterns.extend(driver.grow(context, minimal_pattern, parameter))
-            if spec.deduplicate:
-                patterns = self._deduplicated(patterns)
             patterns = self._ranked(patterns, query.top_k)
             stage_span.annotate(patterns=len(patterns))
             # Constraint drivers that grow through LevelGrow expose

@@ -108,9 +108,7 @@ class ConstraintSpec:
     reducibility/continuity property checks.  ``path_indexed`` marks
     constraints whose Stage-1 entries are frequent-path records repairable by
     :class:`repro.index.incremental.IndexMaintainer`; entries of other
-    constraints are invalidated on data edits.  ``deduplicate`` asks the
-    engine to collapse isomorphic Stage-2 results reached from several
-    minimal patterns (needed when clusters can overlap, as for ``diam-le``).
+    constraints are invalidated on data edits.
     """
 
     constraint_id: str
@@ -120,7 +118,6 @@ class ConstraintSpec:
     driver_parameter: Callable[[Mapping[str, object]], Hashable]
     predicate_factory: Optional[Callable[[Mapping[str, object]], Callable]] = None
     path_indexed: bool = False
-    deduplicate: bool = False
     stage_one_cap_names: Tuple[str, ...] = ()
 
     def validate_params(self, raw: Mapping[str, object]) -> Dict[str, object]:
@@ -248,7 +245,6 @@ def register_constraint(
     driver_parameter: Optional[Callable[[Mapping[str, object]], Hashable]] = None,
     predicate_factory: Optional[Callable] = None,
     path_indexed: bool = False,
-    deduplicate: bool = False,
     stage_one_cap_names: Tuple[str, ...] = (),
     replace: bool = False,
 ) -> ConstraintSpec:
@@ -306,7 +302,6 @@ def register_constraint(
             driver_parameter=driver_parameter,
             predicate_factory=predicate_factory,
             path_indexed=path_indexed,
-            deduplicate=deduplicate,
             stage_one_cap_names=stage_one_cap_names,
         )
     if not replace and spec.constraint_id in _REGISTRY:

@@ -31,10 +31,12 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -251,6 +253,11 @@ class ConstraintDriver(Protocol):
     (e.g. the diameter length for skinny patterns);
     ``grow(context, minimal, parameter)`` grows one minimal pattern into all
     target patterns of its cluster.
+
+    One driver instance serves one query: the engine builds a fresh one per
+    query and calls ``grow`` once per minimal pattern.  The engine returns
+    what the driver returns, so a driver whose clusters overlap must not
+    return a pattern isomorphic to one it already returned in that query.
     """
 
     def mine_minimal(self, context: MiningContext, parameter: Hashable) -> List[object]:
@@ -427,11 +434,27 @@ class BoundedDiameterDriver:
     patterns within the bound.  This mirrors LevelGrow's Constraint-I
     pending states (see ``docs/CORRECTNESS.md``).
 
+    One instance serves one query: every :meth:`grow` call shares one
+    duplicate registry, so a pattern reached from several seed edges is
+    grown and returned once, by the first seed that reaches it.  Nothing is
+    lost by skipping it later: frequency, the 2K margin and ``max_edges``
+    do not depend on the growth path, so that first seed also reaches every
+    extension of it.  ``max_patterns`` caps the whole answer of the query:
+    once that many patterns were returned, later calls return ``[]``, so a
+    capped answer is a prefix of the uncapped one in discovery order.
+    Calling :meth:`grow` with another context or bound raises
+    ``ValueError``.
+
+    Tree-shaped states carry their :class:`~repro.graph.canonical.TreeEncodings`,
+    so a pendant extension's key comes in O(depth) before its graph copy
+    and embedding join, and a tree's diameter comes from the same
+    encodings.  Closing edges and every descendant of a cyclic state are
+    keyed by :func:`~repro.graph.canonical.canonical_key` and gated by
+    :func:`~repro.graph.paths.diameter_at_most`.
+
     Remaining caveat, documented rather than hidden: embedding-count support
     is not anti-monotone, so frequency pruning of intermediates is heuristic
     under that measure — the same trade Stage 2 of SkinnyMine makes.
-    Clusters grown from different seed edges can overlap; the engine
-    deduplicates by canonical form.
     """
 
     def __init__(
@@ -443,6 +466,10 @@ class BoundedDiameterDriver:
         self._max_edges = max_edges
         self._max_patterns = max_patterns
         self._include_minimal = include_minimal
+        # The query this instance serves, fixed by the first grow call.
+        self._query: Optional[Tuple[MiningContext, int]] = None
+        self._seen: Set[Hashable] = set()
+        self._returned = 0
 
     # ------------------------------------------------------------------ #
     # Stage 1: frequent single-edge patterns
@@ -487,13 +514,15 @@ class BoundedDiameterDriver:
     def _extensions(self, context, graph, table):
         """Pattern-level extension ops joined across the embedding table.
 
-        Yields ``(new_graph, new_table)`` pairs for every distinct one-edge
-        extension supported by at least one row: either a new pendant
-        pattern vertex mapped to an unused data neighbour, or a closing edge
-        between two already-mapped pattern vertices.  Each op's join —
-        ``(row, data vertex)`` pairs or surviving row indices — is recorded
-        during the single adjacency scan, so applying an op is a pure join
-        against the parent table rather than a re-scan.
+        Yields ``(anchor, other, label, edge_label, join)`` for every
+        distinct one-edge extension supported by at least one row, pendant
+        ops first: a new pendant pattern vertex labelled ``label`` on
+        ``anchor`` (``other`` is ``None``; ``join`` holds ``(row, data
+        vertex)`` pairs), or a closing edge between the mapped vertices
+        ``anchor`` and ``other`` (``join`` holds the surviving row indices).
+        Each op's join is recorded during the single adjacency scan, so
+        applying an op is a pure join against the parent table rather than
+        a re-scan.
         """
         pattern_edges = {frozenset(edge.endpoints()) for edge in graph.edges()}
         columns = table.columns
@@ -537,67 +566,131 @@ class BoundedDiameterDriver:
                             new_vertex_labels[op] = (data.label_of(neighbor), edge_label)
                         new_vertex_ops.setdefault(op, []).append((row_index, neighbor))
 
-        new_id = max(graph.vertices()) + 1
         for op in sorted(new_vertex_ops):
-            anchor = op[0]
             label, edge_label = new_vertex_labels[op]
-            extended = graph.copy()
-            extended.add_vertex(new_id, label)
-            extended.add_edge(anchor, new_id, edge_label)
-            yield extended, table.extended(new_id, new_vertex_ops[op])
+            yield op[0], None, label, edge_label, new_vertex_ops[op]
         for op in sorted(close_edge_ops):
-            u, v = op[0], op[1]
-            extended = graph.copy()
-            extended.add_edge(u, v, close_edge_labels[op])
-            yield extended, table.subset(close_edge_ops[op])
+            yield op[0], op[1], None, close_edge_labels[op], close_edge_ops[op]
 
     def grow(
         self, context: MiningContext, minimal: object, parameter: Hashable
     ) -> List[SkinnyPattern]:
+        bound = int(parameter)
+        if self._query is None:
+            self._query = (context, bound)
+        elif self._query[0] is not context or self._query[1] != bound:
+            raise ValueError(
+                "a BoundedDiameterDriver serves one query; build a new driver "
+                "for another context or bound"
+            )
+        cap = self._max_patterns
+        results: List[SkinnyPattern] = []
+        if cap is not None and self._returned >= cap:
+            return results
+        for pattern in self._discovered(context, minimal, bound):
+            results.append(pattern)
+            self._returned += 1
+            if cap is not None and self._returned >= cap:
+                break
+        return results
+
+    def _discovered(
+        self, context: MiningContext, minimal: SkinnyPattern, bound: int
+    ) -> Iterator[SkinnyPattern]:
+        """Yield, in DFS order, the patterns ``minimal`` reaches that the query has not seen.
+
+        Per candidate the steps are: key, registry check, support, diameter
+        gates, then emit or push.  A pendant op on a tree state is keyed from
+        the state's encodings, so only a new key pays for the join, and only
+        a frequent one for the graph copy and the child's encodings.
+        """
         from repro.core.diameter import canonical_diameter
+        from repro.graph.canonical import TreeEncodings
         from repro.graph.embeddings import EmbeddingTable
         from repro.graph.paths import diameter_at_most
 
-        bound = int(parameter)
-        results: List[SkinnyPattern] = []
-        seen = {canonical_key(minimal.graph)}
+        seen = self._seen
+        graph = minimal.graph
+        encodings = (
+            TreeEncodings.from_tree(graph)
+            if graph.num_edges() == graph.num_vertices() - 1 and graph.is_connected()
+            else None
+        )
+        key = canonical_key(graph) if encodings is None else encodings.key
+        if key in seen:
+            return
+        seen.add(key)
         if self._include_minimal:
-            results.append(minimal)
-            if self._max_patterns is not None and len(results) >= self._max_patterns:
-                return results
+            yield minimal
         frontier = [
-            (minimal.graph, EmbeddingTable.from_embeddings(minimal.embeddings))
+            (graph, EmbeddingTable.from_embeddings(minimal.embeddings), encodings)
         ]
         while frontier:
-            graph, table = frontier.pop()
+            graph, table, encodings = frontier.pop()
             if self._max_edges is not None and graph.num_edges() >= self._max_edges:
                 continue
-            for extended, extended_table in self._extensions(context, graph, table):
-                key = canonical_key(extended)
+            new_id = max(graph.vertices()) + 1
+            for anchor, other, label, edge_label, join in self._extensions(
+                context, graph, table
+            ):
+                extended = child = None
+                if other is not None or encodings is None:
+                    extended = _with_edge(graph, anchor, other, new_id, label, edge_label)
+                    key = canonical_key(extended)
+                elif (
+                    encodings.d1[anchor] >= encodings.diam
+                    or encodings.d2[anchor] >= encodings.diam
+                ):
+                    # The leaf lengthens the diameter, where extended_key
+                    # would build the full extension anyway: keep it.
+                    child = encodings.extend(anchor, new_id, label, edge_label)
+                    key = child.key
+                else:
+                    key = encodings.extended_key(anchor, new_id, label, edge_label)
                 if key in seen:
                     continue
                 seen.add(key)
-                support = context.support_of_table(extended_table, extended)
+                extended_table = (
+                    table.extended(new_id, join) if other is None else table.subset(join)
+                )
+                support = context.support_of_table(extended_table)
                 if not context.is_frequent(support):
                     continue
-                if not diameter_at_most(extended, bound):
+                if extended is None:
+                    if child is None:
+                        child = encodings.extend(anchor, new_id, label, edge_label)
+                    within = child.diam <= bound
                     # Pending intermediate: over the bound but repairable —
                     # closing a path of length D needs D <= 2K, so anything
-                    # beyond that margin can never come back under it.  Both
-                    # gates run as SumSweep-bounded checks, which settle from
-                    # a few BFS sweeps without the exact diameter.
-                    if diameter_at_most(extended, 2 * bound):
-                        frontier.append((extended, extended_table))
-                    continue
-                results.append(
-                    SkinnyPattern(
+                    # beyond that margin can never come back under it.
+                    if not within and child.diam > 2 * bound:
+                        continue
+                    extended = _with_edge(graph, anchor, None, new_id, label, edge_label)
+                else:
+                    # Both gates run as SumSweep-bounded checks, which settle
+                    # from a few BFS sweeps without the exact diameter.
+                    within = diameter_at_most(extended, bound)
+                    if not within and not diameter_at_most(extended, 2 * bound):
+                        continue
+                frontier.append((extended, extended_table, child))
+                if within:
+                    yield SkinnyPattern(
                         extended,
                         canonical_diameter(extended),
                         extended_table.to_embeddings(),
                         support,
                     )
-                )
-                frontier.append((extended, extended_table))
-                if self._max_patterns is not None and len(results) >= self._max_patterns:
-                    return results
-        return results
+
+
+def _with_edge(graph, anchor, other, new_id, label, edge_label) -> LabeledGraph:
+    """A copy of ``graph`` with one more edge at ``anchor``.
+
+    The edge closes onto ``other``, or, when ``other`` is ``None``, hangs a
+    new vertex ``new_id`` labelled ``label``.
+    """
+    extended = graph.copy()
+    if other is None:
+        extended.add_vertex(new_id, label)
+        other = new_id
+    extended.add_edge(anchor, other, edge_label)
+    return extended

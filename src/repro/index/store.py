@@ -335,8 +335,8 @@ class PatternStore(ABC):
         This is the serving tier's snapshot-isolation primitive: each
         snapshot generation owns one view, incremental repair writes into
         the view's overlay, and readers of older generations (or of the
-        base store itself) never observe those writes.  Views nest — taking
-        a view of a view layers a fresh overlay on top.
+        base store itself) never observe those writes.  A view of a view
+        stays one level deep (see :meth:`SnapshotStoreView.snapshot_view`).
         """
         return SnapshotStoreView(self)
 
@@ -478,6 +478,26 @@ class SnapshotStoreView(PatternStore):
     def overlay_size(self) -> int:
         """Number of keys shadowed by this view (writes plus tombstones)."""
         return len(self._overlay)
+
+    def snapshot_view(self) -> "SnapshotStoreView":
+        """A view over the same base, seeded with a copy of this overlay.
+
+        It reads exactly what this view reads, and later writes on either
+        side stay private.  Views do not nest, so a chain of snapshot
+        generations never forms: a read is one overlay probe and at most one
+        base read, and dropping an old generation frees what only it held.
+
+        >>> base = MemoryPatternStore()
+        >>> key = StoreKey.make("fp", "path", {"length": 2})
+        >>> first = base.snapshot_view()
+        >>> first.put(IndexEntry(key=key, patterns=["p1"]))
+        >>> second = first.snapshot_view()
+        >>> second.base is base, second.get(key) is first.get(key)
+        (True, True)
+        """
+        view = SnapshotStoreView(self._base)
+        view._overlay = dict(self._overlay)
+        return view
 
     def get(self, key: StoreKey) -> Optional[IndexEntry]:
         if key in self._overlay:

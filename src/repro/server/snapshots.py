@@ -4,12 +4,14 @@ The serving tier never mutates live data structures that workers might be
 reading.  Instead, the :class:`SnapshotManager` holds one *current*
 :class:`Snapshot` — a generation number, a private deep copy of the graph
 database, a copy-on-write :class:`~repro.index.store.SnapshotStoreView`
-over the previous generation's store, and a prototype
+of the previous generation's store, and a prototype
 :class:`~repro.api.MiningEngine` bound to both.  ``apply_delta`` builds the
 next generation off the hot path:
 
 1. deep-copy the current generation's graphs (readers keep theirs);
-2. layer a fresh store view over the current generation's store;
+2. take a store view of the current generation's store (a view of a view
+   is a view over the same base, seeded with a copy of its overlay, so
+   generations never chain);
 3. run the engine's incremental repair *into that view* — the base store,
    still serving every in-flight query, is never touched;
 4. publish the finished snapshot with a single attribute assignment

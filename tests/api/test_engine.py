@@ -248,9 +248,18 @@ class TestNonSkinnyConstraints:
             assert pattern.support >= 2
         # Growth reached beyond the single-edge minimal patterns.
         assert any(p.num_edges >= 2 for p in result.patterns)
-        # Overlapping clusters were deduplicated.
+        # Overlapping clusters answer each pattern once.
         forms = [p.canonical_form() for p in result.patterns]
         assert len(forms) == len(set(forms))
+
+    def test_diam_cap_bounds_the_whole_answer(self):
+        data = erdos_renyi_graph(20, 2.5, 3, seed=1)
+        query = Query("diam-le", {"k": 2, "max_edges": 5}, min_support=2)
+        full = MiningEngine(data).run(query).patterns
+        assert len(full) > 10
+        for cap in (1, 4, 10):
+            capped = MiningEngine(data, max_patterns_per_diameter=cap).run(query)
+            assert len(capped.patterns) == cap
 
     def test_run_batch_mixes_constraints_in_order(self):
         engine = MiningEngine(chains_graph())
@@ -554,7 +563,6 @@ class TestCustomConstraintThroughEngine:
                 ),
                 params=(ParamSpec("k", int, required=True, minimum=1),),
                 description="diam-le with a tighter growth cap",
-                deduplicate=True,
             )
             engine = MiningEngine(chains_graph())
             result = engine.run(Query("diam-loose", {"k": 2}, min_support=2))

@@ -29,7 +29,7 @@ SKINNY = Query("skinny", {"length": 6, "delta": 1}, min_support=2)
 DATASETS = {
     "demo": lambda: load_dataset("demo"),
     # Its diam-le answer holds trees, unicyclic and bicyclic patterns, so
-    # all three cases of canonical_key serve the engine's deduplication.
+    # all three cases of canonical_key serve the driver's duplicate registry.
     "cyclic": lambda: erdos_renyi_graph(20, 3.0, 2, seed=1),
 }
 

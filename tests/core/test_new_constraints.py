@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.database import MiningContext
 from repro.core.framework import (
     BoundedDiameterDriver,
@@ -11,6 +13,8 @@ from repro.core.framework import (
     check_reducibility,
     path_shape_constraint,
 )
+from repro.graph.canonical import canonical_key
+from repro.graph.generators import erdos_renyi_graph
 from repro.graph.labeled_graph import build_graph
 from repro.graph.paths import diameter as graph_diameter
 
@@ -159,3 +163,59 @@ class TestBoundedDiameterConstraint:
         driver = BoundedDiameterDriver(max_patterns=1)
         (minimal, *_) = driver.mine_minimal(context, 2)
         assert len(driver.grow(context, minimal, 2)) <= 1
+
+
+class TestBoundedDiameterQueryScope:
+    """One driver instance grows one query's answer, each pattern once."""
+
+    @staticmethod
+    def answer(driver, context, bound):
+        return [
+            pattern
+            for minimal in driver.mine_minimal(context, bound)
+            for pattern in driver.grow(context, minimal, bound)
+        ]
+
+    @staticmethod
+    def numbered(patterns):
+        return [
+            (
+                sorted((v, str(p.graph.label_of(v))) for v in p.graph.vertices()),
+                sorted(e.endpoints() for e in p.graph.edges()),
+                p.support,
+                [e.mapping for e in p.embeddings],
+            )
+            for p in patterns
+        ]
+
+    def test_each_pattern_is_returned_once(self):
+        context = MiningContext(erdos_renyi_graph(20, 2.5, 3, seed=1), min_support=2)
+        patterns = self.answer(BoundedDiameterDriver(max_edges=5), context, 2)
+        keys = [canonical_key(p.graph) for p in patterns]
+        assert len(keys) > 20
+        assert len(keys) == len(set(keys))
+
+    def test_capped_answer_is_a_prefix_of_the_uncapped_one(self):
+        context = MiningContext(erdos_renyi_graph(20, 2.5, 3, seed=1), min_support=2)
+        uncapped = self.numbered(self.answer(BoundedDiameterDriver(max_edges=5), context, 2))
+        for cap in (1, 2, 5, 17, len(uncapped) - 1, len(uncapped), len(uncapped) + 3):
+            driver = BoundedDiameterDriver(max_edges=5, max_patterns=cap)
+            assert self.numbered(self.answer(driver, context, 2)) == uncapped[:cap]
+
+    def test_grow_after_the_cap_returns_nothing(self):
+        context = MiningContext(data_graph(), min_support=2)
+        driver = BoundedDiameterDriver(max_patterns=2)
+        first, *rest = driver.mine_minimal(context, 2)
+        assert len(driver.grow(context, first, 2)) == 2
+        assert rest and all(driver.grow(context, minimal, 2) == [] for minimal in rest)
+
+    def test_another_context_or_bound_is_refused(self):
+        context = MiningContext(data_graph(), min_support=2)
+        driver = BoundedDiameterDriver()
+        first, second, *_ = driver.mine_minimal(context, 2)
+        driver.grow(context, first, 2)
+        with pytest.raises(ValueError):
+            driver.grow(context, second, 3)
+        with pytest.raises(ValueError):
+            driver.grow(MiningContext(data_graph(), min_support=2), second, 2)
+        assert driver.grow(context, second, 2)

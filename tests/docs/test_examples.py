@@ -20,3 +20,5 @@ def test_example_runs(name, capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(EXAMPLES / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out
+    # ... and remove them again: a run leaves nothing behind.
+    assert sorted(path.name for path in tmp_path.iterdir()) == []

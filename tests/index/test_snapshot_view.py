@@ -74,17 +74,29 @@ class TestSnapshotStoreView:
         assert view.keys() == [fresh.key]
         assert base.keys() == []
 
-    def test_views_nest(self):
+    def test_view_of_a_view_is_one_level_deep(self):
         base = MemoryPatternStore()
         stored = entry()
         base.put(stored)
         first = base.snapshot_view()
+        written = entry(constraint="skinny", parameter={"length": 4})
+        first.put(written)
         second = first.snapshot_view()
-        assert second.base is first
-        second.delete(stored.key)
-        assert second.get(stored.key) is None
+        assert second.base is base
+        # ``second`` sees the overlay of ``first`` as it was when ``second``
+        # was created, and none of the writes ``first`` makes afterwards.
+        assert second.get(written.key) is written
+        assert second.get(stored.key) is stored
+        later = entry(constraint="skinny", parameter={"length": 5})
+        first.put(later)
+        assert later.key not in second
+        # A delete in ``second`` leaves ``first`` and the base intact.
+        assert second.delete(stored.key) and second.delete(written.key)
+        assert second.keys() == []
         assert first.get(stored.key) is stored
+        assert first.get(written.key) is written
         assert base.get(stored.key) is stored
+        assert written.key not in base
 
     def test_sibling_views_are_independent(self):
         base = MemoryPatternStore()

@@ -89,6 +89,42 @@ class TestApplyDelta:
         assert manager.generation == 0
 
 
+class TestLongDeltaStreams:
+    """Generations stay one view above the base store, however many deltas."""
+
+    QUERIES = (QUERY, Query("diam-le", {"k": 2}, min_support=2))
+
+    def answers(self, engine):
+        return [
+            [(p.canonical_form(), p.support) for p in engine.run(query).patterns]
+            for query in self.QUERIES
+        ]
+
+    def test_every_generation_keeps_its_answers_and_entries(self):
+        manager = make_manager()
+        base = manager.current.store
+        generations = [manager.current]
+        answers = [self.answers(manager.current.engine)]
+        keys = [set(base.keys())]
+        for step in range(100):
+            # Remove and re-add one edge: repaired skinny entries and
+            # invalidated diam-le entries pile up in the overlays.
+            operation = (EdgeDelta.add_edge if step % 2 else EdgeDelta.remove_edge)(0, 1)
+            snapshot, _ = manager.apply_delta([operation])
+            assert snapshot.store.base is base
+            generations.append(snapshot)
+            answers.append(self.answers(snapshot.engine))
+            keys.append(set(snapshot.store.keys()))
+        assert manager.generation == 100
+        assert answers[0] != answers[1]
+        for index, snapshot in enumerate(generations):
+            assert set(snapshot.store.keys()) == keys[index]
+            fresh = snapshot.engine.fork(metrics=MetricsRegistry())
+            assert self.answers(fresh) == answers[index]
+            assert answers[index] == answers[index % 2]
+        assert set(base.keys()) == keys[0]
+
+
 class TestSqliteBackedGenerations:
     """Snapshot generations behave identically over the relational backend."""
 

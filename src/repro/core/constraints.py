@@ -313,34 +313,17 @@ def admissible_new_vertex(
     )
 
 
-def permanently_admissible_new_vertex(
-    state: GrowthState, parent: VertexId, new_label: Label
-) -> bool:
-    """Constraints II and III only — the checks no later edge can repair.
-
-    A pendant vertex that fails Constraint I (it lands further than D(P)
-    from the head or tail) is not doomed: a later edge of the same or a
-    later growth level can shrink its distances back under the bound (the
-    4-cycle is the canonical example — both of its one-edge-short trees
-    violate Constraint I).  Constraint II and III failures, by contrast, are
-    permanent: adding edges only shrinks distances, so a head–tail shortcut
-    never un-shortcuts, and an offending lexicographically-smaller diameter
-    path never disappears.  LevelGrow therefore treats a candidate that
-    passes this check but fails Constraint I as *pending* — explored but not
-    reported — rather than rejecting it.
-    """
-    return constraint_two_ok_new_vertex(state, parent) and constraint_three_ok_new_vertex(
-        state, parent, new_label
-    )
-
-
 def admissible_existing_edge(state: GrowthState, u: VertexId, v: VertexId) -> bool:
     """All three constraints for adding an edge between existing pattern vertices.
 
     Constraint I is automatic here (connecting existing vertices can only
-    shrink distances), so only Constraints II and III are evaluated; both
-    are permanent (see :func:`permanently_admissible_new_vertex`), so a
-    failure is a hard rejection even in the relaxed pending-growth flow.
+    shrink distances), so only Constraints II and III are evaluated.
+    LevelGrow calls the two checks itself, in this order, to count each
+    rejection by reason.  It rejects outright on either, which is exact for
+    Constraint II (a head–tail shortcut never un-shortcuts) but not always
+    for Constraint III: a later edge can shortcut the smaller-label
+    diameter path so that it stops being a shortest path (the bull in
+    ``docs/CORRECTNESS.md``, "Open gaps").
     """
     return constraint_two_ok_existing_edge(state, u, v) and constraint_three_ok_existing_edge(
         state, u, v

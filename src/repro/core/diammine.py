@@ -27,7 +27,9 @@ pair.  Only a pair whose support upper bound can pass the intermediate
 filter gets directed occurrence sets and an exact support count.  The bound
 (:meth:`MiningContext.path_support_upper_bound`) is the pair's edge count
 under every measure, or twice that under MNI when the pair is palindromic,
-because both readings of an edge are then images.
+because both readings of an edge are then images.  So the rung derives,
+once, the fewest edges a palindromic pair needs and the fewest any other
+pair needs, and keeps a pair when its edge count reaches its kind's count.
 """
 
 from __future__ import annotations
@@ -250,21 +252,26 @@ class DiamMine:
         Only a label pair whose support upper bound can pass
         :meth:`_intermediate_frequent` gets occurrence sets and an exact
         support count, so the rung equals filtering every pair exactly.
+        The bound reads only the pair's edge count and whether the pair is
+        palindromic, so the rung derives one edge count per kind
+        (:meth:`_edges_needed`) and compares each pair's count with it.
         """
         if 1 in self._ladder:
             return self._ladder[1]
         context = self._context
         with self._tracer.span("stage1.ladder", length=1) as span:
             by_pair, edges = self._edges_by_label_pair()
+            # A pair's flat list holds three ints per edge.
+            palindrome_fields = 3 * self._edges_needed(palindromic=True)
+            pair_fields = 3 * self._edges_needed(palindromic=False)
             kept = []
             label_pairs = counted = 0
             for first, partners in by_pair.items():
                 label_pairs += len(partners)
                 for second, flat in partners.items():
-                    bound = context.path_support_upper_bound(
-                        len(flat) // 3, (first, second)
-                    )
-                    if not self._intermediate_frequent(bound):
+                    if len(flat) < (
+                        palindrome_fields if first == second else pair_fields
+                    ):
                         continue
                     counted += 1
                     readings = _edge_readings(first, second, flat)
@@ -293,6 +300,34 @@ class DiamMine:
             )
         self._ladder[1] = frequent
         return frequent
+
+    def _edges_needed(self, palindromic: bool) -> int:
+        """Fewest edges a label pair needs for its support bound to pass.
+
+        :meth:`MiningContext.path_support_upper_bound` never falls as the
+        edge count grows and is at least the count, so ``σ`` edges always
+        pass :meth:`_intermediate_frequent` and a binary search over
+        ``[1, σ]`` finds the smallest count that does.
+
+        Examples
+        --------
+        >>> from repro.core.database import SupportMeasure
+        >>> from repro.graph.labeled_graph import graph_from_paths
+        >>> graph = graph_from_paths([["a", "a"]])
+        >>> mni = DiamMine(MiningContext(graph, 3, SupportMeasure.MNI))
+        >>> mni._edges_needed(palindromic=True), mni._edges_needed(palindromic=False)
+        (2, 3)
+        """
+        labels = ("a", "a") if palindromic else ("a", "b")
+        bound = self._context.path_support_upper_bound
+        low, high = 1, self._context.min_support
+        while low < high:
+            middle = (low + high) // 2
+            if self._intermediate_frequent(bound(middle, labels)):
+                high = middle
+            else:
+                low = middle + 1
+        return low
 
     def _edges_by_label_pair(self) -> Tuple[Dict[str, Dict[str, List[int]]], int]:
         """Every edge filed under its unordered label pair, and the edge count.

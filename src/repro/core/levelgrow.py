@@ -35,14 +35,16 @@ matches the paper.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.constraints import (
-    admissible_existing_edge,
+    constraint_three_ok_existing_edge,
+    constraint_three_ok_new_vertex,
+    constraint_two_ok_existing_edge,
+    constraint_two_ok_new_vertex,
     distances_after_existing_edge,
     new_vertex_distances,
-    permanently_admissible_new_vertex,
 )
 from repro.core.database import MiningContext
 from repro.core.patterns import GrowthState
@@ -128,6 +130,30 @@ class LevelGrowStatistics:
     (Loop-Invariant checks) and probing (pendant probes + pending-viability
     BFS) — and feed the CI perf-history gate, which bounds each phase's
     share independently of the total.
+
+    The last six fields split the outcomes by reason:
+
+    * ``rejected_constraint_one`` — a pendant beyond D(P) whose pre-join
+      probe finds no conceivable repair;
+    * ``rejected_constraint_two`` / ``rejected_constraint_three`` — a
+      pendant or closing edge failing Constraint II, or passing it and
+      failing Constraint III;
+    * ``rejected_unrepairable`` — a deficient child that the pending
+      viability test drops;
+    * ``rejected_loop_invariant`` — a novel child whose true canonical
+      diameter is another path (it belongs to another cluster);
+    * ``candidates_deferred`` — an edge between valid vertices of a pending
+      state that repaired nothing, left for the valid state to add.
+
+    They satisfy two identities::
+
+        candidates_rejected_constraints == rejected_constraint_one
+            + rejected_constraint_two + rejected_constraint_three
+            + rejected_unrepairable + candidates_pending
+            + rejected_loop_invariant
+        candidates_generated == patterns_emitted
+            + candidates_rejected_support + candidates_rejected_duplicate
+            + candidates_rejected_constraints + candidates_deferred
     """
 
     candidates_generated: int = 0
@@ -142,20 +168,18 @@ class LevelGrowStatistics:
     canonical_seconds: float = 0.0
     invariant_seconds: float = 0.0
     probe_seconds: float = 0.0
+    rejected_constraint_one: int = 0
+    rejected_constraint_two: int = 0
+    rejected_constraint_three: int = 0
+    rejected_unrepairable: int = 0
+    rejected_loop_invariant: int = 0
+    candidates_deferred: int = 0
 
     def merge(self, other: "LevelGrowStatistics") -> None:
-        self.candidates_generated += other.candidates_generated
-        self.candidates_rejected_constraints += other.candidates_rejected_constraints
-        self.candidates_rejected_support += other.candidates_rejected_support
-        self.candidates_rejected_duplicate += other.candidates_rejected_duplicate
-        self.candidates_pending += other.candidates_pending
-        self.patterns_emitted += other.patterns_emitted
-        self.canonical_incremental_hits += other.canonical_incremental_hits
-        self.invariant_cache_hits += other.invariant_cache_hits
-        self.probes_batched += other.probes_batched
-        self.canonical_seconds += other.canonical_seconds
-        self.invariant_seconds += other.invariant_seconds
-        self.probe_seconds += other.probe_seconds
+        """Add every counter and timer of ``other`` into this one."""
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def phase_seconds(self) -> Dict[str, float]:
         """Phase-name → accumulated seconds (the telemetry aggregate-span feed).
@@ -173,20 +197,7 @@ class LevelGrowStatistics:
 
     def to_dict(self) -> Dict[str, object]:
         """Wire form for per-request stats (engine/service/CLI reporting)."""
-        return {
-            "candidates_generated": self.candidates_generated,
-            "candidates_rejected_constraints": self.candidates_rejected_constraints,
-            "candidates_rejected_support": self.candidates_rejected_support,
-            "candidates_rejected_duplicate": self.candidates_rejected_duplicate,
-            "candidates_pending": self.candidates_pending,
-            "patterns_emitted": self.patterns_emitted,
-            "canonical_incremental_hits": self.canonical_incremental_hits,
-            "invariant_cache_hits": self.invariant_cache_hits,
-            "probes_batched": self.probes_batched,
-            "canonical_seconds": self.canonical_seconds,
-            "invariant_seconds": self.invariant_seconds,
-            "probe_seconds": self.probe_seconds,
-        }
+        return asdict(self)
 
 
 def _eccentricities(pattern: LabeledGraph) -> Dict[VertexId, int]:
@@ -572,6 +583,7 @@ class LevelGrower:
                         # Constraint-I violation with no conceivable repair:
                         # reject before paying for the embedding join.
                         self.statistics.candidates_rejected_constraints += 1
+                        self.statistics.rejected_constraint_one += 1
                         continue
                 extended = self._apply_extension(
                     current, extension, join, level, distances
@@ -603,6 +615,7 @@ class LevelGrower:
                 ):
                     # Edge between valid vertices that did not advance any
                     # repair: defer it to the valid state (commutes).
+                    self.statistics.candidates_deferred += 1
                     continue
                 if extended.deficiency:
                     # Repairable violation: explore (never report) while a
@@ -612,6 +625,7 @@ class LevelGrower:
                         extended, level, max_level,
                         deficient_set=deficient_of(extended),
                     ):
+                        self.statistics.rejected_unrepairable += 1
                         continue
                     self.statistics.candidates_pending += 1
                     # Pending states remember their nearest reportable
@@ -652,6 +666,7 @@ class LevelGrower:
                     # fall out at the duplicate gate above); no child credit
                     # — the pattern is not reportable from this cluster.
                     self.statistics.candidates_rejected_constraints += 1
+                    self.statistics.rejected_loop_invariant += 1
                     continue
                 extended.invariant_verified = True
                 credited.accepted_children += 1
@@ -1357,8 +1372,9 @@ class LevelGrower:
         (:meth:`~repro.core.database.MiningContext.frozen_graph`): per-vertex
         sorted neighbour tuples and palette-cached label strings replace the
         dict-of-sets walk and the per-neighbour ``str(label_of(...))`` calls
-        of the mutable graphs — this loop visits every data edge incident to
-        every embedding image and dominates Stage-2 candidate generation.
+        of the mutable graphs.  It reads ``adjacency`` only at the images its
+        rows map, and ``label_strs`` only for a neighbour outside the row, so
+        its cost follows the rows it joins, not the size of the data graph.
         """
         pattern = state.pattern
         levels = state.levels
@@ -1397,25 +1413,23 @@ class LevelGrower:
         edge_joins: Dict[Tuple[VertexId, VertexId], Set[int]] = {}
 
         last_graph_index = -1
-        labeled_adjacency: Dict[VertexId, Tuple[Tuple[VertexId, str], ...]] = {}
         adjacency: Dict[VertexId, Tuple[VertexId, ...]] = {}
+        label_strs: Dict[VertexId, str] = {}
         for row_index, (graph_index, row) in enumerate(
             zip(table.graph_ids, table.rows)
         ):
             if graph_index != last_graph_index:
                 frozen = context.frozen_graph(graph_index)
-                labeled_adjacency = frozen.labeled_adjacency
                 adjacency = frozen.adjacency
+                label_strs = frozen.label_strs
                 last_graph_index = graph_index
             # Embeddings are injective, so a neighbour already used by the
             # row can never be a pendant image: one set membership per visit.
             row_set = set(row)
             for parent, parent_position in parents:
-                # The pre-zipped runs carry each neighbour's label string
-                # (needed for the extension key) without a per-visit probe.
-                for neighbor, neighbor_label in labeled_adjacency[row[parent_position]]:
+                for neighbor in adjacency[row[parent_position]]:
                     if neighbor not in row_set:
-                        key = (parent, neighbor_label)
+                        key = (parent, label_strs[neighbor])
                         join = new_vertex_joins.get(key)
                         if join is None:
                             join = new_vertex_joins[key] = []
@@ -1507,9 +1521,16 @@ class LevelGrower:
 
         # Constraint I is NOT checked here: a pendant landing beyond D(P) is
         # repairable by a later edge, so grow_level_full keeps such states as
-        # pending.  Only the permanent Constraints II/III reject outright.
-        if not permanently_admissible_new_vertex(state, extension.parent, extension.label):
+        # pending.  Constraints II and III reject outright.
+        if not constraint_two_ok_new_vertex(state, extension.parent):
             self.statistics.candidates_rejected_constraints += 1
+            self.statistics.rejected_constraint_two += 1
+            return None
+        if not constraint_three_ok_new_vertex(
+            state, extension.parent, extension.label
+        ):
+            self.statistics.candidates_rejected_constraints += 1
+            self.statistics.rejected_constraint_three += 1
             return None
 
         table = state.table.extended(new_vertex, join_pairs)
@@ -1589,8 +1610,15 @@ class LevelGrower:
         join_rows: Sequence[int],
     ) -> Optional[GrowthState]:
         u, v = extension.u, extension.v
-        if not admissible_existing_edge(state, u, v):
+        # Constraint I cannot fail: an edge between existing vertices only
+        # shrinks distances.
+        if not constraint_two_ok_existing_edge(state, u, v):
             self.statistics.candidates_rejected_constraints += 1
+            self.statistics.rejected_constraint_two += 1
+            return None
+        if not constraint_three_ok_existing_edge(state, u, v):
+            self.statistics.candidates_rejected_constraints += 1
+            self.statistics.rejected_constraint_three += 1
             return None
 
         table = state.table.subset(join_rows)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.labeled_graph import Edge, Label, LabeledGraph, VertexId
 
@@ -148,7 +148,9 @@ class CSRGraph:
     ids, and ``label_strs`` maps each vertex id to the cached ``str`` form
     of its label.  Both are plain dicts exposed as public attributes — the
     hot loops of the growth engine read them directly — and both are
-    derived from (never authoritative over) the arrays.
+    derived from (never authoritative over) the arrays.  The freeze builds
+    both, and nothing else walks every vertex afterwards: a query that
+    reads a few neighbourhoods pays for those, not for the whole graph.
 
     The read API matches :class:`~repro.graph.labeled_graph.LabeledGraph`;
     ``neighbors`` returns a sorted tuple instead of a live set, which every
@@ -185,7 +187,6 @@ class CSRGraph:
         "edge_palette",
         "adjacency",
         "label_strs",
-        "_labeled_adjacency",
         "_vertex_ids",
         "_slot_of",
         "_labels",
@@ -253,7 +254,6 @@ class CSRGraph:
         self.label_strs = {
             vid: str_of(codes[slot]) for slot, vid in enumerate(vertex_ids)
         }
-        self._labeled_adjacency = None
         self._labels = labels
 
         if edge_labels:
@@ -272,27 +272,6 @@ class CSRGraph:
             self.edge_label_codes = None
             self._edge_labels = {}
         return self
-
-    @property
-    def labeled_adjacency(self) -> Dict[VertexId, Tuple[Tuple[VertexId, str], ...]]:
-        """Per-vertex ``((neighbour, neighbour label str), ...)`` runs.
-
-        The growth engine's candidate scan visits every data edge incident
-        to every embedding image and needs the neighbour's label string for
-        each visit; pre-zipping the label onto the adjacency run turns a
-        per-visit dict probe into a tuple unpack.  Built lazily on first
-        access (one pass over ``adjacency``) and cached — derived from,
-        never authoritative over, ``adjacency`` and ``label_strs``.
-        """
-        cached = self._labeled_adjacency
-        if cached is None:
-            label_strs = self.label_strs
-            cached = {
-                vid: tuple((neighbor, label_strs[neighbor]) for neighbor in run)
-                for vid, run in self.adjacency.items()
-            }
-            self._labeled_adjacency = cached
-        return cached
 
     def to_labeled(self) -> LabeledGraph:
         """Thaw back into a mutable :class:`LabeledGraph` (round-trip exact)."""

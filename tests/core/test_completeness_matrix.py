@@ -24,7 +24,8 @@ Last, dense planted patterns of cycle rank 3 drive LevelGrow's duplicate
 registry above the tree and unicyclic rungs, onto the
 individualisation-refinement labeller, and pin two open gaps
 (``xfail(strict=True)``, listed in ``docs/CORRECTNESS.md``) that those
-inputs expose.
+inputs expose.  The bull pins the smallest input of the first gap under
+all three measures, next to a relabelled control that is found.
 """
 
 from __future__ import annotations
@@ -427,3 +428,72 @@ class TestDensePlantedPatterns:
             )
             verdicts.add(is_l_long_delta_skinny(renumbered, 2, 1))
         assert verdicts == {True}
+
+
+# --------------------------------------------------------------------- #
+# the bull: Constraint III treated as permanent loses a cycle-rank-1 pattern
+# --------------------------------------------------------------------- #
+def bull(apex, offset=0):
+    """Triangle 1-3-4 with pendant 0 on 1 and pendant 2 on 3.
+
+    The path 0-1-3-2 is labelled b and the apex 4 carries ``apex``.  With
+    apex ``a`` the pattern's canonical diameter is b-b-b-b, but cluster
+    b-b-b-b can only attach the apex as a pendant on 1 or 3, which makes
+    a-b-b-b a smaller-label diameter path; Constraint III rejects that
+    pendant for good, though the edge closing the triangle would make the
+    a-b-b-b path no longer a shortest path.
+    """
+    labels = {0: "b", 1: "b", 2: "b", 3: "b", 4: apex}
+    edges = [(0, 1), (1, 3), (3, 2), (1, 4), (3, 4)]
+    return build_graph(
+        {vertex + offset: label for vertex, label in labels.items()},
+        [(u + offset, v + offset) for u, v in edges],
+    )
+
+
+def two_bulls(apex, measure):
+    """Two copies: one per transaction, or two components of one graph."""
+    if measure is SupportMeasure.TRANSACTIONS:
+        return [bull(apex), bull(apex)]
+    graph = bull(apex)
+    other = bull(apex, offset=5)
+    for vertex, label in other.vertex_labels().items():
+        graph.add_vertex(vertex, label)
+    for edge in other.edges():
+        graph.add_edge(edge.u, edge.v)
+    return [graph]
+
+
+def assert_bull_found(apex, measure):
+    data = two_bulls(apex, measure)
+    query = Query(
+        "skinny",
+        {"length": 3, "delta": 1},
+        min_support=2,
+        support_measure=measure.value,
+    )
+    oracle = keyed(
+        enumerate_and_check_spm(
+            data, 3, 1, 2, max_edges=MAX_EDGES, support_measure=measure
+        )
+    )
+    target = canonical_key(bull(apex))
+    assert oracle.get(target) == 2
+    mined = keyed(MiningEngine(data).run(query).patterns)
+    assert mined.get(target) == 2, f"missed the bull: {len(mined)} of {len(oracle)}"
+
+
+class TestBull:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open gap (docs/CORRECTNESS.md): a Constraint-III rejection "
+        "is treated as permanent, so the apex-a bull is never grown",
+    )
+    @pytest.mark.parametrize("measure", list(SupportMeasure), ids=lambda m: m.value)
+    def test_apex_a_bull_is_found(self, measure):
+        assert_bull_found("a", measure)
+
+    @pytest.mark.parametrize("measure", list(SupportMeasure), ids=lambda m: m.value)
+    def test_apex_c_bull_is_found(self, measure):
+        # With apex c the diameter b-b-b-b has no smaller-label rival.
+        assert_bull_found("c", measure)

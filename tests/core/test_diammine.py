@@ -13,6 +13,7 @@ from repro.core.diammine import (
     DiamMine,
     Stage1Mode,
     _DirectedPathSet,
+    _edge_readings,
     brute_force_frequent_paths,
     mine_frequent_paths,
 )
@@ -57,6 +58,53 @@ class _ReferenceDiamMine(DiamMine):
             for labels, paths in collected.items()
             if self._intermediate_frequent(paths.undirected_support(self._context))
         }
+        self._ladder[1] = frequent
+        return frequent
+
+
+class _PerPairBoundDiamMine(DiamMine):
+    """DiamMine whose length-1 rung asks the support bound of every pair.
+
+    Each label pair passes :meth:`MiningContext.path_support_upper_bound`
+    and :meth:`DiamMine._intermediate_frequent` on its own, as the rung did
+    before it derived one edge count per kind of pair; the rest of the rung
+    is unchanged, so the two must agree on keys, key order and occurrences.
+    """
+
+    def _frequent_edges(self):
+        if 1 in self._ladder:
+            return self._ladder[1]
+        context = self._context
+        with self._tracer.span("stage1.ladder", length=1) as span:
+            by_pair, edges = self._edges_by_label_pair()
+            kept = []
+            label_pairs = counted = 0
+            for first, partners in by_pair.items():
+                label_pairs += len(partners)
+                for second, flat in partners.items():
+                    bound = context.path_support_upper_bound(
+                        len(flat) // 3, (first, second)
+                    )
+                    if not self._intermediate_frequent(bound):
+                        continue
+                    counted += 1
+                    readings = _edge_readings(first, second, flat)
+                    if self._intermediate_frequent(
+                        readings[0].undirected_support(context)
+                    ):
+                        graph_index, x, y = flat[:3]
+                        kept.append(((graph_index, min(x, y), max(x, y)), x > y, readings))
+            kept.sort(key=lambda entry: entry[0])
+            frequent = {}
+            for _, flipped, readings in kept:
+                for path_set in reversed(readings) if flipped else readings:
+                    frequent[path_set.labels] = path_set
+            span.annotate(
+                paths=len(frequent),
+                edges=edges,
+                label_pairs=label_pairs,
+                label_pairs_counted=counted,
+            )
         self._ladder[1] = frequent
         return frequent
 
@@ -144,6 +192,63 @@ class TestFrequentEdges:
             "label_pairs": 3,
             "label_pairs_counted": counted,
         }
+
+
+def _rung_and_span(miner_class, graphs, sigma, measure, mode):
+    tracer = Tracer()
+    miner = miner_class(MiningContext(graphs, sigma, measure), mode=mode, tracer=tracer)
+    rung = [
+        (labels, path_set.occurrences)
+        for labels, path_set in miner._frequent_edges().items()
+    ]
+    [span] = tracer.drain()
+    return rung, span["attrs"]
+
+
+#: Inputs for the threshold parity: few labels make palindromic pairs and
+#: edge counts near σ common, which is where a threshold can be off by one.
+THRESHOLD_INPUTS = [
+    erdos_renyi_graph(vertices, degree, labels, seed=seed)
+    for seed, (vertices, degree, labels) in enumerate(
+        [(8, 1.5, 1), (10, 2.0, 2), (12, 2.5, 2), (14, 1.8, 3), (20, 3.0, 3)] * 3
+    )
+] + [
+    random_transaction_database(graphs, vertices, degree, labels, seed=seed)
+    for seed, (graphs, vertices, degree, labels) in enumerate(
+        [(2, 6, 1.5, 1), (3, 8, 2.0, 2), (4, 10, 2.5, 3)] * 3
+    )
+]
+
+
+class TestEdgeCountThreshold:
+    """The rung's one edge count per kind of pair equals the per-pair bound."""
+
+    @pytest.mark.parametrize("index", range(len(THRESHOLD_INPUTS)))
+    def test_matches_the_per_pair_bound(self, index):
+        graphs = THRESHOLD_INPUTS[index]
+        for measure in SupportMeasure:
+            for mode in Stage1Mode:
+                for sigma in (1, 2, 3, 4):
+                    rung, attrs = _rung_and_span(DiamMine, graphs, sigma, measure, mode)
+                    expected = _rung_and_span(
+                        _PerPairBoundDiamMine, graphs, sigma, measure, mode
+                    )
+                    assert (rung, attrs) == expected, (measure, mode, sigma)
+
+    def test_palindromic_pairs_pass_through_the_doubled_bound(self):
+        # Two a-a edges and two a-b edges at σ=3 under MNI: the a-a pair's
+        # bound is 2 * 2 = 4 (both readings of an edge are images), so it
+        # is counted and kept with support 4; the a-b pair's bound is 2.
+        graph = graph_from_paths([["a", "a"], ["a", "a"], ["a", "b"], ["a", "b"]])
+        for miner_class in (DiamMine, _PerPairBoundDiamMine):
+            rung, attrs = _rung_and_span(
+                miner_class, graph, 3, SupportMeasure.MNI, Stage1Mode.PRUNED
+            )
+            assert [labels for labels, _ in rung] == [("a", "a")]
+            assert attrs["label_pairs"] == 2
+            assert attrs["label_pairs_counted"] == 1
+        [path] = DiamMine(MiningContext(graph, 3, SupportMeasure.MNI)).mine(1)
+        assert (path.labels, path.support) == (("a", "a"), 4)
 
 
 class TestPowersOfTwo:

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.database import MiningContext
+from repro.api import MiningEngine, Query
+from repro.cli import load_dataset
+from repro.core.database import MiningContext, SupportMeasure
 from repro.core.diammine import DiamMine
 from repro.core.levelgrow import (
     ExistingEdgeExtension,
     LevelGrower,
+    LevelGrowStatistics,
     NewVertexExtension,
 )
 from repro.core.patterns import initial_state_from_path
+from repro.core.skinnymine import SkinnyMine
+from repro.graph.generators import erdos_renyi_graph, random_transaction_database
 from repro.graph.labeled_graph import graph_from_paths
 
 
@@ -229,3 +234,74 @@ class TestLevelGrow:
         assert grower.statistics.canonical_incremental_hits >= len(grown)
         assert grower.statistics.probes_batched >= 2
         assert grower.statistics.canonical_seconds >= 0.0
+
+
+#: The fields that split the constraint rejections by reason, plus the
+#: deferred closing edges.
+REASONS = (
+    "rejected_constraint_one",
+    "rejected_constraint_two",
+    "rejected_constraint_three",
+    "rejected_unrepairable",
+    "rejected_loop_invariant",
+    "candidates_deferred",
+)
+
+
+def assert_reasons_add_up(stats: LevelGrowStatistics) -> None:
+    assert stats.candidates_rejected_constraints == (
+        stats.rejected_constraint_one
+        + stats.rejected_constraint_two
+        + stats.rejected_constraint_three
+        + stats.rejected_unrepairable
+        + stats.candidates_pending
+        + stats.rejected_loop_invariant
+    )
+    assert stats.candidates_generated == (
+        stats.patterns_emitted
+        + stats.candidates_rejected_support
+        + stats.candidates_rejected_duplicate
+        + stats.candidates_rejected_constraints
+        + stats.candidates_deferred
+    )
+
+
+def skinny_statistics(graphs, length, delta, measure) -> LevelGrowStatistics:
+    miner = SkinnyMine(graphs, min_support=2, support_measure=measure)
+    miner.mine(length, delta)
+    return miner.last_report.level_statistics
+
+
+class TestRejectionReasons:
+    """Every generated candidate lands in exactly one outcome counter."""
+
+    def test_demo_skinny_query(self):
+        query = Query("skinny", {"length": 5, "delta": 1}, min_support=2)
+        payload = MiningEngine(load_dataset("demo")).run(query).stats.level_statistics
+        stats = LevelGrowStatistics(**payload)
+        assert_reasons_add_up(stats)
+        assert stats.rejected_constraint_one > 0
+        assert stats.rejected_constraint_three > 0
+
+    def test_seed_85_four_cycle_input(self):
+        # The pending-repair 4-cycle input: its eight pending states are
+        # the one constraint outcome that is explored rather than dropped.
+        database = random_transaction_database(3, 12, 1.4, 4, seed=85)
+        stats = skinny_statistics(database, 2, 1, SupportMeasure.TRANSACTIONS)
+        assert stats.candidates_pending == 8
+        assert_reasons_add_up(stats)
+
+    def test_every_reason_counted(self):
+        graph = erdos_renyi_graph(20, 2.0, 2, seed=1)
+        stats = skinny_statistics(graph, 3, 1, SupportMeasure.MNI)
+        assert_reasons_add_up(stats)
+        assert all(getattr(stats, reason) > 0 for reason in REASONS), stats
+
+    def test_merge_and_wire_form_carry_the_reasons(self):
+        one = LevelGrowStatistics(**{reason: 1 for reason in REASONS})
+        one.merge(LevelGrowStatistics(**{reason: 10 for reason in REASONS}))
+        payload = one.to_dict()
+        assert {reason: payload[reason] for reason in REASONS} == {
+            reason: 11 for reason in REASONS
+        }
+        assert LevelGrowStatistics(**payload) == one

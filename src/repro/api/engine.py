@@ -468,10 +468,10 @@ class MiningEngine:
                 patterns.extend(driver.grow(context, minimal_pattern, parameter))
             patterns = self._ranked(patterns, query.top_k)
             stage_span.annotate(patterns=len(patterns))
-            # Constraint drivers that grow through LevelGrow expose
-            # per-request counters (the driver instance is built fresh for
-            # this query, so the numbers can never leak from an earlier
-            # request).  Emission phases are accumulated per candidate —
+            # The skinny and diam-le drivers expose per-request growth
+            # counters (the driver instance is built fresh for this query,
+            # so the numbers can never leak from an earlier request).
+            # LevelGrow's emission phases are accumulated per candidate —
             # far too hot for a span each — and attached here as pre-timed
             # aggregate spans.
             level_statistics = getattr(driver, "statistics", None)
@@ -503,7 +503,7 @@ class MiningEngine:
         return patterns, stats
 
     def _publish_stage_metrics(self, constraint_id: str, stats: QueryStats) -> None:
-        """Publish one cold query's stage latencies and LevelGrow counters."""
+        """Publish one cold query's stage latencies and growth counters."""
         labels = {"constraint": constraint_id}
         self._metrics.histogram(
             "repro_stage_one_seconds", "Stage-1 (store or mine) latency", labels=labels

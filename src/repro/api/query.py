@@ -222,8 +222,8 @@ class QueryStats:
     — including the emission-fast-path ones (``canonical_incremental_hits``,
     ``invariant_cache_hits``, ``probes_batched``) and the phase timings — as
     a plain dict, or ``None`` when Stage 2 never ran (result-cache hits) or
-    the constraint's driver grows without LevelGrow.  The engine builds one
-    driver per query, so these counters are per-request by construction and
+    the constraint's driver keeps no counters (``path``).  The engine builds
+    one driver per query, so these counters are per-request by construction and
     never bleed into the next report (the counter-merge bug class
     ``SkinnyMine`` once had; pinned by ``tests/api/test_engine.py``).
 

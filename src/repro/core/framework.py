@@ -447,10 +447,22 @@ class BoundedDiameterDriver:
 
     Tree-shaped states carry their :class:`~repro.graph.canonical.TreeEncodings`,
     so a pendant extension's key comes in O(depth) before its graph copy
-    and embedding join, and a tree's diameter comes from the same
-    encodings.  Closing edges and every descendant of a cyclic state are
-    keyed by :func:`~repro.graph.canonical.canonical_key` and gated by
-    :func:`~repro.graph.paths.diameter_at_most`.
+    and embedding join.  A pendant changes no distance between vertices
+    already in the pattern, so its child's diameter,
+    ``max(D, ecc(anchor) + 1)``, is known before the key (from the
+    encodings' ``d1`` / ``d2`` on a tree, by one BFS otherwise).  A closing
+    edge lengthens no distance, so only a pending state's closing child is
+    gated by :func:`~repro.graph.paths.diameter_at_most`, before its key.
+    Closing edges and the pendants of a cyclic state are keyed by
+    :func:`~repro.graph.canonical.canonical_key`.
+
+    A child with ``max_edges`` edges is never extended, so it counts only
+    when its diameter is within ``K``.  One that is not, and a pendant
+    beyond the 2K margin, is dropped before its key; one edge below the
+    budget a pending state scans closing edges only.  ``docs/CORRECTNESS.md`` says
+    why keeping these keys out of the registry changes no answer.
+    ``statistics`` counts every candidate where the driver decides it
+    (``docs/OBSERVABILITY.md``).
 
     Remaining caveat, documented rather than hidden: embedding-count support
     is not anti-monotone, so frequency pruning of intermediates is heuristic
@@ -463,6 +475,8 @@ class BoundedDiameterDriver:
         max_patterns: Optional[int] = None,
         include_minimal: bool = True,
     ) -> None:
+        from repro.core.levelgrow import LevelGrowStatistics
+
         self._max_edges = max_edges
         self._max_patterns = max_patterns
         self._include_minimal = include_minimal
@@ -470,6 +484,7 @@ class BoundedDiameterDriver:
         self._query: Optional[Tuple[MiningContext, int]] = None
         self._seen: Set[Hashable] = set()
         self._returned = 0
+        self.statistics = LevelGrowStatistics()
 
     # ------------------------------------------------------------------ #
     # Stage 1: frequent single-edge patterns
@@ -511,7 +526,7 @@ class BoundedDiameterDriver:
     # ------------------------------------------------------------------ #
     # Stage 2: constraint-preserving growth
     # ------------------------------------------------------------------ #
-    def _extensions(self, context, graph, table):
+    def _extensions(self, context, graph, table, pendants=True):
         """Pattern-level extension ops joined across the embedding table.
 
         Yields ``(anchor, other, label, edge_label, join)`` for every
@@ -520,9 +535,9 @@ class BoundedDiameterDriver:
         ``anchor`` (``other`` is ``None``; ``join`` holds ``(row, data
         vertex)`` pairs), or a closing edge between the mapped vertices
         ``anchor`` and ``other`` (``join`` holds the surviving row indices).
-        Each op's join is recorded during the single adjacency scan, so
-        applying an op is a pure join against the parent table rather than
-        a re-scan.
+        With ``pendants`` false only closing edges are collected.  Each op's
+        join is recorded during the single adjacency scan, so applying an op
+        is a pure join against the parent table rather than a re-scan.
         """
         pattern_edges = {frozenset(edge.endpoints()) for edge in graph.edges()}
         columns = table.columns
@@ -535,13 +550,16 @@ class BoundedDiameterDriver:
         for row_index, (graph_index, row) in enumerate(
             zip(table.graph_ids, table.rows)
         ):
-            # Frozen CSR view: sorted-tuple neighbour reads, cached label
-            # strings and O(log deg) edge-label probes, shared across every
-            # row of the transaction (rows arrive grouped by graph).
+            # Frozen CSR view: sorted-tuple neighbour reads and cached label
+            # strings, shared across every row of the transaction (rows
+            # arrive grouped by graph).  Edge labels are read only when the
+            # view has an edge palette; otherwise every edge label is None.
             if graph_index != last_graph_index:
                 data = context.frozen_graph(graph_index)
                 label_strs = data.label_strs
                 adjacency = data.adjacency
+                labelled = data.edge_palette is not None
+                edge_label, edge_key = None, "None"
                 last_graph_index = graph_index
             # Embeddings are injective: data vertex → pattern vertex is
             # well defined per row, so one inverse map answers both the
@@ -550,18 +568,20 @@ class BoundedDiameterDriver:
             for position, pattern_vertex in enumerate(columns):
                 data_vertex = row[position]
                 for neighbor in adjacency[data_vertex]:
-                    edge_label = data.edge_label(data_vertex, neighbor)
+                    if labelled:
+                        edge_label = data.edge_label(data_vertex, neighbor)
+                        edge_key = str(edge_label)
                     mapped = mapped_get(neighbor)
                     if mapped is not None:
                         if (
                             pattern_vertex < mapped
                             and frozenset((pattern_vertex, mapped)) not in pattern_edges
                         ):
-                            op = (pattern_vertex, mapped, str(edge_label))
+                            op = (pattern_vertex, mapped, edge_key)
                             close_edge_labels.setdefault(op, edge_label)
                             close_edge_ops.setdefault(op, []).append(row_index)
-                    else:
-                        op = (pattern_vertex, label_strs[neighbor], str(edge_label))
+                    elif pendants:
+                        op = (pattern_vertex, label_strs[neighbor], edge_key)
                         if op not in new_vertex_labels:
                             new_vertex_labels[op] = (data.label_of(neighbor), edge_label)
                         new_vertex_ops.setdefault(op, []).append((row_index, neighbor))
@@ -599,17 +619,20 @@ class BoundedDiameterDriver:
     ) -> Iterator[SkinnyPattern]:
         """Yield, in DFS order, the patterns ``minimal`` reaches that the query has not seen.
 
-        Per candidate the steps are: key, registry check, support, diameter
-        gates, then emit or push.  A pendant op on a tree state is keyed from
-        the state's encodings, so only a new key pays for the join, and only
-        a frequent one for the graph copy and the child's encodings.
+        Per candidate the steps are: the budget and margin drops, key,
+        registry check, join, support, then emit, push, or both.  A pendant op on a tree state is keyed
+        from the state's encodings, so only a new key pays for the join,
+        and only a frequent child below the budget for the child's
+        encodings and frontier entry.
         """
         from repro.core.diameter import canonical_diameter
         from repro.graph.canonical import TreeEncodings
         from repro.graph.embeddings import EmbeddingTable
-        from repro.graph.paths import diameter_at_most
+        from repro.graph.paths import bfs_distances, diameter_at_most
 
+        statistics = self.statistics
         seen = self._seen
+        max_edges = self._max_edges
         graph = minimal.graph
         encodings = (
             TreeEncodings.from_tree(graph)
@@ -622,64 +645,101 @@ class BoundedDiameterDriver:
         seen.add(key)
         if self._include_minimal:
             yield minimal
+        # Frontier entries: (pattern, table, tree encodings or None, pending),
+        # where a pending state's diameter lies in (K, 2K].
         frontier = [
-            (graph, EmbeddingTable.from_embeddings(minimal.embeddings), encodings)
+            (
+                graph,
+                EmbeddingTable.from_embeddings(minimal.embeddings),
+                encodings,
+                not diameter_at_most(graph, bound),
+            )
         ]
         while frontier:
-            graph, table, encodings = frontier.pop()
-            if self._max_edges is not None and graph.num_edges() >= self._max_edges:
+            graph, table, encodings, pending = frontier.pop()
+            size = graph.num_edges() + 1
+            if max_edges is not None and size > max_edges:
                 continue
+            # Children at the budget are never extended: they count only
+            # when they are within the bound.
+            last = size == max_edges
             new_id = max(graph.vertices()) + 1
+            # ecc(anchor) + 1 per anchor of a cyclic state, by one BFS each.
+            reach: Dict[Hashable, int] = {}
             for anchor, other, label, edge_label, join in self._extensions(
-                context, graph, table
+                context, graph, table, pendants=not (last and pending)
             ):
+                statistics.candidates_generated += 1
                 extended = child = None
-                if other is not None or encodings is None:
+                if other is None:
+                    # A pendant leaves every distance between existing
+                    # vertices as it was: the child's diameter is
+                    # max(D, ecc(anchor) + 1), and D <= 2K here.
+                    if encodings is not None:
+                        far = max(encodings.d1[anchor], encodings.d2[anchor]) + 1
+                    else:
+                        far = reach.get(anchor)
+                        if far is None:
+                            far = max(bfs_distances(graph, anchor).values()) + 1
+                            reach[anchor] = far
+                    within = not pending and far <= bound
+                else:
+                    # A closing edge lengthens no distance: a valid state's
+                    # child stays within the bound, a pending state's within
+                    # the margin, so only the budget can drop it.
+                    far = 0
                     extended = _with_edge(graph, anchor, other, new_id, label, edge_label)
+                    within = not pending or diameter_at_most(extended, bound)
+                if not within and (last or far > 2 * bound):
+                    statistics.candidates_rejected_constraints += 1
+                    if last:
+                        statistics.rejected_budget += 1
+                    else:
+                        statistics.rejected_margin += 1
+                    continue
+                if extended is None and encodings is None:
+                    extended = _with_edge(graph, anchor, None, new_id, label, edge_label)
+                if extended is not None:
                     key = canonical_key(extended)
-                elif (
-                    encodings.d1[anchor] >= encodings.diam
-                    or encodings.d2[anchor] >= encodings.diam
-                ):
+                elif far > encodings.diam and not last:
                     # The leaf lengthens the diameter, where extended_key
                     # would build the full extension anyway: keep it.
                     child = encodings.extend(anchor, new_id, label, edge_label)
                     key = child.key
+                    statistics.canonical_incremental_hits += 1
                 else:
                     key = encodings.extended_key(anchor, new_id, label, edge_label)
+                    statistics.canonical_incremental_hits += 1
+                statistics.candidates_keyed += 1
                 if key in seen:
+                    statistics.candidates_rejected_duplicate += 1
                     continue
                 seen.add(key)
+                statistics.candidates_joined += 1
                 extended_table = (
                     table.extended(new_id, join) if other is None else table.subset(join)
                 )
                 support = context.support_of_table(extended_table)
                 if not context.is_frequent(support):
+                    statistics.candidates_rejected_support += 1
                     continue
                 if extended is None:
-                    if child is None:
-                        child = encodings.extend(anchor, new_id, label, edge_label)
-                    within = child.diam <= bound
-                    # Pending intermediate: over the bound but repairable —
-                    # closing a path of length D needs D <= 2K, so anything
-                    # beyond that margin can never come back under it.
-                    if not within and child.diam > 2 * bound:
-                        continue
                     extended = _with_edge(graph, anchor, None, new_id, label, edge_label)
-                else:
-                    # Both gates run as SumSweep-bounded checks, which settle
-                    # from a few BFS sweeps without the exact diameter.
-                    within = diameter_at_most(extended, bound)
-                    if not within and not diameter_at_most(extended, 2 * bound):
-                        continue
-                frontier.append((extended, extended_table, child))
+                if not last:
+                    if child is None and encodings is not None and other is None:
+                        child = encodings.extend(anchor, new_id, label, edge_label)
+                    frontier.append((extended, extended_table, child, not within))
                 if within:
+                    statistics.patterns_emitted += 1
                     yield SkinnyPattern(
                         extended,
                         canonical_diameter(extended),
                         extended_table.to_embeddings(),
                         support,
                     )
+                else:
+                    statistics.candidates_rejected_constraints += 1
+                    statistics.candidates_pending += 1
 
 
 def _with_edge(graph, anchor, other, new_id, label, edge_label) -> LabeledGraph:

@@ -107,17 +107,21 @@ ExtensionJoin = Union[List[Tuple[int, VertexId]], List[int]]
 class LevelGrowStatistics:
     """Counters exposed for the scalability experiments (Figures 16–18).
 
-    ``candidates_pending`` counts candidates that violated Constraint I in a
-    repairable way and entered the pending worklist (explored, not
-    reported); they are *also* counted under
-    ``candidates_rejected_constraints`` because, unless a later edge repairs
-    them, they contribute nothing to the output.
+    ``candidates_pending`` counts the pending states a query explores:
+    candidates that violated Constraint I in a repairable way and entered
+    the pending worklist (explored, not reported).  They are *also* counted
+    under ``candidates_rejected_constraints`` because, unless a later edge
+    repairs them, they contribute nothing to the output.  A candidate that
+    re-derives a pending state already held is a
+    ``candidates_rejected_duplicate``.
 
     The emission-fast-path counters account for the incremental machinery:
 
-    * ``canonical_incremental_hits`` — duplicate-registry keys served from
-      the carried :class:`~repro.graph.canonical.TreeEncodings` (O(depth)
-      derivation) instead of a batch AHU re-canonicalisation;
+    * ``canonical_incremental_hits`` — keys looked up in a duplicate
+      registry (a pending child's before its viability probe, so an
+      unviable one counts too) served from the carried
+      :class:`~repro.graph.canonical.TreeEncodings` (O(depth) derivation)
+      instead of a batch AHU re-canonicalisation;
     * ``invariant_cache_hits`` — Loop-Invariant verdicts answered from the
       memoised diameter descriptor of an isomorphic pattern seen earlier
       (typically in another cluster that generated the same candidate);
@@ -145,15 +149,33 @@ class LevelGrowStatistics:
     * ``candidates_deferred`` — an edge between valid vertices of a pending
       state that repaired nothing, left for the valid state to add.
 
-    They satisfy two identities::
+    The ``diam-le`` driver (:class:`~repro.core.framework.BoundedDiameterDriver`)
+    reports in the same record and leaves the six reasons above, the cache
+    and probe counters and the phase timers at zero.  Its own fields are
+    ``rejected_budget`` / ``rejected_margin`` (a child its edge budget or
+    its 2K margin can no longer report, dropped before the key) and
+    ``candidates_keyed`` / ``candidates_joined`` (checked against the
+    duplicate registry, and the new ones among them, which pay for a join).
+
+    Both growers satisfy two identities (each leaves the other's reasons
+    at zero)::
 
         candidates_rejected_constraints == rejected_constraint_one
             + rejected_constraint_two + rejected_constraint_three
             + rejected_unrepairable + candidates_pending
-            + rejected_loop_invariant
+            + rejected_loop_invariant + rejected_budget + rejected_margin
         candidates_generated == patterns_emitted
             + candidates_rejected_support + candidates_rejected_duplicate
             + candidates_rejected_constraints + candidates_deferred
+
+    and the ``diam-le`` record also splits its candidates by where they
+    stopped::
+
+        candidates_generated == rejected_budget + rejected_margin
+            + candidates_keyed
+        candidates_keyed == candidates_rejected_duplicate + candidates_joined
+        candidates_joined == candidates_rejected_support + candidates_pending
+            + patterns_emitted
     """
 
     candidates_generated: int = 0
@@ -174,6 +196,10 @@ class LevelGrowStatistics:
     rejected_unrepairable: int = 0
     rejected_loop_invariant: int = 0
     candidates_deferred: int = 0
+    rejected_budget: int = 0
+    rejected_margin: int = 0
+    candidates_keyed: int = 0
+    candidates_joined: int = 0
 
     def merge(self, other: "LevelGrowStatistics") -> None:
         """Add every counter and timer of ``other`` into this one."""
@@ -187,13 +213,15 @@ class LevelGrowStatistics:
         The phase timers are accumulated inline per candidate (a method call
         per sample would be measurable on the emission hot path); this
         accessor is the read-side view the tracer turns into pre-timed
-        ``stage2.phase.*`` spans.
+        ``stage2.phase.*`` spans.  A growth that timed no phase (``diam-le``)
+        has none to report.
         """
-        return {
+        phases = {
             "canonical": self.canonical_seconds,
             "invariant": self.invariant_seconds,
             "probe": self.probe_seconds,
         }
+        return phases if any(phases.values()) else {}
 
     def to_dict(self) -> Dict[str, object]:
         """Wire form for per-request stats (engine/service/CLI reporting)."""
@@ -619,7 +647,13 @@ class LevelGrower:
                     continue
                 if extended.deficiency:
                     # Repairable violation: explore (never report) while a
-                    # repair is still conceivable; drop otherwise.
+                    # repair is still conceivable; drop otherwise.  A state
+                    # the pending registry already holds is a re-derivation,
+                    # settled before its viability probe.
+                    pending_key = self._canonical_key(extended)
+                    if pending_key in self._pending_registry:
+                        self.statistics.candidates_rejected_duplicate += 1
+                        continue
                     self.statistics.candidates_rejected_constraints += 1
                     if not self._pending_viable(
                         extended, level, max_level,
@@ -628,15 +662,13 @@ class LevelGrower:
                         self.statistics.rejected_unrepairable += 1
                         continue
                     self.statistics.candidates_pending += 1
+                    self._pending_registry.add(pending_key)
                     # Pending states remember their nearest reportable
                     # ancestor: patterns emitted out of the excursion are
                     # that ancestor's super-patterns.
                     extended.origin = current.origin if current.deficiency else current
-                    if self._add_if_new(
-                        self._pending_registry, self._canonical_key(extended)
-                    ):
-                        pending.append(extended)
-                        worklist.append(extended)
+                    pending.append(extended)
+                    worklist.append(extended)
                     continue
                 # Credit the child to the state it will be reported against:
                 # the pending intermediates between them are never emitted,

@@ -18,6 +18,8 @@ import random
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import MiningEngine, Query
 from repro.cli import load_dataset
@@ -28,9 +30,15 @@ from repro.core.framework import BoundedDiameterDriver
 from repro.core.patterns import SkinnyPattern
 from repro.graph.canonical import canonical_key
 from repro.graph.embeddings import EmbeddingTable
-from repro.graph.generators import erdos_renyi_graph, random_transaction_database
+from repro.graph.generators import (
+    erdos_renyi_graph,
+    inject_pattern,
+    random_skinny_pattern,
+    random_transaction_database,
+)
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.paths import diameter_at_most
+from repro.graph.paths import diameter, diameter_at_most
+from repro.obs import MetricsRegistry
 
 
 # --------------------------------------------------------------------- #
@@ -150,15 +158,26 @@ def serialised(patterns) -> List[str]:
 # --------------------------------------------------------------------- #
 # inputs
 # --------------------------------------------------------------------- #
-def edge_labelled(seed):
-    """An ER graph whose edges carry one of two labels."""
-    plain = erdos_renyi_graph(16, 2.5, 2, seed=seed)
+def edge_labelled(seed, plain=None, choices="xy"):
+    """An ER graph whose edges carry one of ``choices`` (``None`` leaves an edge unlabelled)."""
+    if plain is None:
+        plain = erdos_renyi_graph(16, 2.5, 2, seed=seed)
     rng = random.Random(seed)
     graph = LabeledGraph(name="edge-labelled")
     for vertex in plain.vertices():
         graph.add_vertex(vertex, plain.label_of(vertex))
     for edge in plain.edges():
-        graph.add_edge(edge.u, edge.v, rng.choice("xy"))
+        graph.add_edge(edge.u, edge.v, rng.choice(choices))
+    return graph
+
+
+def blowup_graph():
+    """The Stage-2 blow-up graph: ER(200, 1.8, 25) with three planted skinny copies."""
+    graph = erdos_renyi_graph(200, 1.8, 25, seed=1)
+    planted = random_skinny_pattern(
+        backbone_length=7, skinniness=1, num_vertices=11, num_labels=25, seed=2
+    )
+    inject_pattern(graph, planted, copies=3, seed=3)
     return graph
 
 
@@ -224,6 +243,41 @@ def test_engine_answer_equals_the_reference(case):
     assert serialised(MiningEngine(data).run(diam_query).patterns) == expected
 
 
+@st.composite
+def random_cases(draw):
+    """Small ER databases (edge labels off, on, or on some edges) and a diam-le query."""
+    seed = draw(st.integers(0, 2**16))
+    count = draw(st.integers(1, 3))
+    num_vertices = draw(st.integers(5, 10))
+    avg_degree = draw(st.sampled_from((1.5, 2.0, 2.5)))
+    num_labels = draw(st.integers(1, 3))
+    edge_labels = draw(st.sampled_from((None, "xy", ("x", None))))
+    graphs = [
+        erdos_renyi_graph(num_vertices, avg_degree, num_labels, seed=seed + index)
+        for index in range(count)
+    ]
+    if edge_labels is not None:
+        graphs = [
+            edge_labelled(seed + index, graph, edge_labels)
+            for index, graph in enumerate(graphs)
+        ]
+    diam_query = query(
+        draw(st.integers(1, 3)),
+        draw(st.integers(2, 6)),
+        draw(st.integers(1, 3)),
+        draw(st.sampled_from(list(SupportMeasure))),
+    )
+    return graphs, diam_query
+
+
+@settings(max_examples=160, deadline=None)
+@given(random_cases())
+def test_random_inputs_match_the_reference(case):
+    graphs, diam_query = case
+    expected = serialised(reference_answer(graphs, diam_query))
+    assert serialised(MiningEngine(graphs).run(diam_query).patterns) == expected
+
+
 # --------------------------------------------------------------------- #
 # work pins on the demo graph's k=2 σ=3 query
 # --------------------------------------------------------------------- #
@@ -252,8 +306,10 @@ def test_demo_query_joins_each_new_extension_once(monkeypatch):
     demo_query = Query("diam-le", {"k": 2}, min_support=3)
     result, counts = counted_run(monkeypatch, load_dataset("demo"), demo_query)
     assert len(result.patterns) == 25
-    # Per-seed growth joined every extension of every seed: 792 joins.
-    assert counts["joins"] == 229
+    # Per-seed growth joined every extension of every seed: 792 joins.  One
+    # registry per query took that to 229; deciding a pendant's diameter
+    # before its key (the budget and the 2K margin) takes it to 183.
+    assert counts["joins"] == 183
     assert counts["tree keys"] == 0
 
 
@@ -265,3 +321,119 @@ def test_cyclic_candidates_are_keyed_through_the_module_attribute(monkeypatch):
     assert any(p.num_edges >= p.num_vertices for p in result.patterns)
     assert counts["cyclic keys"] > 0
     assert counts["tree keys"] == 0
+
+
+# --------------------------------------------------------------------- #
+# the edge budget, and the driver's counters
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "make_data, drops, joins",
+    [
+        # 4,121 pendant joins before the budget cut, 2,545 of them such children.
+        (blowup_graph, (202, 4), (1576, 2)),
+        (lambda: erdos_renyi_graph(20, 3.0, 2, seed=1), (133, 166), (100, 23)),
+    ],
+    ids=["blowup", "er-closing"],
+)
+def test_no_join_builds_an_unreportable_child_at_the_budget(
+    monkeypatch, make_data, drops, joins
+):
+    k, max_edges = 2, 5
+    scanned = {}
+    offered = {"pendant": 0, "closing": 0}
+    joined = {"pendant": [], "closing": []}
+    extensions = BoundedDiameterDriver._extensions
+    extended, subset = EmbeddingTable.extended, EmbeddingTable.subset
+
+    def child_of(graph, op):
+        anchor, other, label, edge_label, _ = op
+        new_id = max(graph.vertices()) + 1
+        return framework._with_edge(graph, anchor, other, new_id, label, edge_label)
+
+    def recording_extensions(driver, context, graph, table, pendants=True):
+        for op in extensions(driver, context, graph, table, pendants):
+            scanned["op"] = (graph, op)
+            if graph.num_edges() == max_edges - 1 and diameter(child_of(graph, op)) > k:
+                offered["pendant" if op[1] is None else "closing"] += 1
+            yield op
+
+    def recording_extended(table, new_id, join):
+        joined["pendant"].append(child_of(*scanned["op"]))
+        return extended(table, new_id, join)
+
+    def recording_subset(table, rows):
+        joined["closing"].append(child_of(*scanned["op"]))
+        return subset(table, rows)
+
+    monkeypatch.setattr(BoundedDiameterDriver, "_extensions", recording_extensions)
+    monkeypatch.setattr(EmbeddingTable, "extended", recording_extended)
+    monkeypatch.setattr(EmbeddingTable, "subset", recording_subset)
+    diam_query = Query("diam-le", {"k": k, "max_edges": max_edges}, min_support=2)
+    result = MiningEngine(make_data()).run(diam_query)
+    assert [
+        child
+        for child in joined["pendant"] + joined["closing"]
+        if child.num_edges() == max_edges and diameter(child) > k
+    ] == []
+    # Both kinds of unreportable child reach the budget (a pending state
+    # offers closing edges only), and every one of them is a budget drop,
+    # taken before the key.
+    assert (offered["pendant"], offered["closing"]) == drops
+    assert result.stats.level_statistics["rejected_budget"] == sum(drops)
+    assert (len(joined["pendant"]), len(joined["closing"])) == joins
+
+
+def assert_counts_add_up(stats):
+    """The driver's split of its candidates, and LevelGrow's two identities."""
+    assert stats["candidates_generated"] == (
+        stats["rejected_budget"] + stats["rejected_margin"] + stats["candidates_keyed"]
+    )
+    assert stats["candidates_keyed"] == (
+        stats["candidates_rejected_duplicate"] + stats["candidates_joined"]
+    )
+    assert stats["candidates_joined"] == (
+        stats["candidates_rejected_support"]
+        + stats["candidates_pending"]
+        + stats["patterns_emitted"]
+    )
+    assert stats["candidates_rejected_constraints"] == (
+        stats["rejected_constraint_one"]
+        + stats["rejected_constraint_two"]
+        + stats["rejected_constraint_three"]
+        + stats["rejected_unrepairable"]
+        + stats["candidates_pending"]
+        + stats["rejected_loop_invariant"]
+        + stats["rejected_budget"]
+        + stats["rejected_margin"]
+    )
+    assert stats["candidates_generated"] == (
+        stats["patterns_emitted"]
+        + stats["candidates_rejected_support"]
+        + stats["candidates_rejected_duplicate"]
+        + stats["candidates_rejected_constraints"]
+        + stats["candidates_deferred"]
+    )
+
+
+@pytest.mark.parametrize(
+    "make_data, diam_query, decided",
+    [
+        (blowup_graph, query(2, 5, 2), "rejected_budget"),
+        (lambda: load_dataset("demo"), query(2, 6, 3), "rejected_margin"),
+        (lambda: erdos_renyi_graph(20, 3.0, 2, seed=1), query(2, 5, 2), "rejected_budget"),
+    ],
+    ids=["blowup-budget", "demo-margin", "er-closing"],
+)
+def test_level_statistics_count_every_candidate_once(make_data, diam_query, decided):
+    registry = MetricsRegistry()
+    result = MiningEngine(make_data(), metrics=registry).run(diam_query)
+    stats = result.stats.level_statistics
+    assert_counts_add_up(stats)
+    assert stats[decided] > 0
+    assert stats["candidates_pending"] > 0
+    # Grown patterns only: the seed edges come from Stage 1.
+    assert stats["patterns_emitted"] == len(result.patterns) - result.stats.num_minimal_patterns
+    emitted = registry.counter(
+        "repro_patterns_emitted_total", labels={"constraint": "diam-le"}
+    ).value
+    assert emitted == stats["patterns_emitted"]

@@ -297,6 +297,25 @@ class TestRejectionReasons:
         assert_reasons_add_up(stats)
         assert all(getattr(stats, reason) > 0 for reason in REASONS), stats
 
+    def test_pending_counts_the_states_held(self, monkeypatch):
+        # A candidate that re-derives a pending state the registry holds is
+        # a duplicate, settled before its viability probe: it was once
+        # counted as pending too (274 for these 178 states).
+        held = []
+        grow_level_full = LevelGrower.grow_level_full
+
+        def recording(grower, *args, **kwargs):
+            growth = grow_level_full(grower, *args, **kwargs)
+            held.extend(growth.pending)
+            return growth
+
+        monkeypatch.setattr(LevelGrower, "grow_level_full", recording)
+        graph = erdos_renyi_graph(20, 2.0, 2, seed=1)
+        stats = skinny_statistics(graph, 3, 1, SupportMeasure.MNI)
+        assert len(held) == 178
+        assert stats.candidates_pending == 178
+        assert_reasons_add_up(stats)
+
     def test_merge_and_wire_form_carry_the_reasons(self):
         one = LevelGrowStatistics(**{reason: 1 for reason in REASONS})
         one.merge(LevelGrowStatistics(**{reason: 10 for reason in REASONS}))

@@ -19,6 +19,7 @@ registered constraint and is served identically by the in-process
 
 from repro.api.engine import MiningEngine
 from repro.api.errors import (
+    EdgeLabelledDataError,
     MalformedQueryError,
     MissingParameterError,
     ParameterError,
@@ -42,6 +43,7 @@ from repro.api.registry import (
 
 __all__ = [
     "ConstraintSpec",
+    "EdgeLabelledDataError",
     "MalformedQueryError",
     "MiningEngine",
     "MissingParameterError",

@@ -18,6 +18,9 @@ callers all go through it, for every registered constraint.  It owns:
   :class:`repro.index.incremental.IndexMaintainer`: path-indexed constraints
   (``skinny``, ``path``) are repaired in place, other constraints' stale
   entries are invalidated so a cold rebuild stays correct.
+* Path-indexed constraints read vertex labels only, so on data with any
+  edge label their queries are refused with
+  :class:`~repro.api.errors.EdgeLabelledDataError` before any store read.
 
 :class:`repro.core.skinnymine.SkinnyMine` runs the same skinny driver
 without the store, the result cache or the registry.
@@ -29,6 +32,7 @@ import time
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.api.errors import EdgeLabelledDataError
 from repro.api.query import Query, QueryStats, Result
 from repro.api.registry import ConstraintSpec, constraint_specs, get_constraint
 from repro.core.database import (
@@ -133,6 +137,7 @@ class MiningEngine:
             raise ValueError(f"{type(self).__name__} requires at least one data graph")
         self._store = store if store is not None else MemoryPatternStore()
         self._fingerprint = dataset_fingerprint(self._graphs)
+        self._edge_labelled = self._has_edge_labels()
         self._result_cache: "OrderedDict[str, List[SkinnyPattern]]" = OrderedDict()
         self._result_cache_size = result_cache_size
         self._contexts: Dict[tuple, MiningContext] = {}
@@ -251,7 +256,17 @@ class MiningEngine:
     # ------------------------------------------------------------------ #
     # Stage 1: the persistent index
     # ------------------------------------------------------------------ #
+    def _has_edge_labels(self) -> bool:
+        return any(graph.edge_labels() for graph in self._graphs)
+
     def _stage_one_key(self, spec: ConstraintSpec, query: Query) -> StoreKey:
+        """The query's Stage-1 key; every store access of a query starts here.
+
+        So a path-indexed query on edge-labelled data is refused here, before
+        the store is read: a Stage-1 path record holds vertex labels only.
+        """
+        if spec.path_indexed and self._edge_labelled:
+            raise EdgeLabelledDataError(spec.constraint_id)
         parameter = spec.stage_one_parameter(
             query.params, query.min_support, query.support_measure, self._caps
         )
@@ -263,7 +278,9 @@ class MiningEngine:
         Public so schedulers (the serving tier's worker pool) can classify a
         query as warm (``key in engine.store``) or cold before dispatching
         it, without running it.  Raises the usual typed errors for unknown
-        constraints or invalid parameters.
+        constraints or invalid parameters, and
+        :class:`~repro.api.errors.EdgeLabelledDataError` for a query the
+        engine refuses.
         """
         return self._stage_one_key(get_constraint(query.constraint_id), query)
 
@@ -611,6 +628,7 @@ class MiningEngine:
             return report
         finally:
             self._fingerprint = dataset_fingerprint(self._graphs)
+            self._edge_labelled = self._has_edge_labels()
             self._result_cache.clear()
             self._contexts.clear()
             # Only graphs the batch names can have been mutated (even on

@@ -8,7 +8,9 @@ the CLI's catch-all) keep working, while new callers can discriminate:
   (wrong container type, missing mandatory envelope fields);
 * :class:`UnknownConstraintError` — the constraint id is not registered;
 * :class:`ParameterError` — the constraint id is fine but its parameters are
-  not, refined into missing / unexpected / wrong-type / out-of-range.
+  not, refined into missing / unexpected / wrong-type / out-of-range;
+* :class:`EdgeLabelledDataError` — the query is well formed, but its
+  constraint ignores edge labels and the engine's data has some.
 
 Raising these (rather than ``KeyError``/``TypeError`` escaping from dict
 access) is part of the API contract: malformed wire payloads must fail with
@@ -67,6 +69,23 @@ class ParameterValueError(ParameterError):
     """A constraint parameter is of the right type but out of range."""
 
 
+class EdgeLabelledDataError(QueryError):
+    """The constraint ignores edge labels, and the data has edge labels.
+
+    A path-indexed Stage-1 record (``skinny``, ``path``) holds vertex labels
+    only, so such a query would report label-blind patterns the data does
+    not support.  The same query on the same data always fails the same
+    way, so the error is not retriable.
+    """
+
+    def __init__(self, constraint_id: str) -> None:
+        self.constraint_id = constraint_id
+        super().__init__(
+            f"constraint {constraint_id!r} ignores edge labels and the data has "
+            "edge labels; mine it with 'diam-le', or without the edge labels"
+        )
+
+
 #: Most-derived-first mapping from error class to its stable wire code.
 _ERROR_CODES = (
     (MissingParameterError, "missing_parameter"),
@@ -76,6 +95,7 @@ _ERROR_CODES = (
     (ParameterError, "invalid_parameter"),
     (UnknownConstraintError, "unknown_constraint"),
     (MalformedQueryError, "malformed_query"),
+    (EdgeLabelledDataError, "edge_labels_unsupported"),
     (QueryError, "invalid_query"),
 )
 

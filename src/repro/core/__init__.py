@@ -24,7 +24,7 @@ from repro.core.diameter import (
     skinniness,
     vertex_levels,
 )
-from repro.core.diammine import DiamMine, brute_force_frequent_paths, mine_frequent_paths
+from repro.core.diammine import DiamMine, brute_force_frequent_paths
 from repro.core.framework import (
     BoundedDiameterDriver,
     ContinuityReport,
@@ -56,7 +56,6 @@ __all__ = [
     "vertex_levels",
     "DiamMine",
     "brute_force_frequent_paths",
-    "mine_frequent_paths",
     "BoundedDiameterDriver",
     "ContinuityReport",
     "PathConstraintDriver",

@@ -297,36 +297,3 @@ def constraint_three_ok_existing_edge(
                 if _breaks_canonical_order(pattern, diameter_labels, candidate):
                     return False
     return True
-
-
-# --------------------------------------------------------------------- #
-# combined checks
-# --------------------------------------------------------------------- #
-def admissible_new_vertex(
-    state: GrowthState, parent: VertexId, new_label: Label
-) -> bool:
-    """All three constraints for attaching a new vertex with ``new_label`` to ``parent``."""
-    return (
-        constraint_one_ok_new_vertex(state, parent)
-        and constraint_two_ok_new_vertex(state, parent)
-        and constraint_three_ok_new_vertex(state, parent, new_label)
-    )
-
-
-def admissible_existing_edge(state: GrowthState, u: VertexId, v: VertexId) -> bool:
-    """All three constraints for adding an edge between existing pattern vertices.
-
-    Constraint I is automatic here (connecting existing vertices can only
-    shrink distances), so only Constraints II and III are evaluated.
-    LevelGrow calls the two checks itself, in this order, to count each
-    rejection by reason.  It rejects outright on either, which is exact for
-    Constraint II (a head–tail shortcut never un-shortcuts) but not always
-    for Constraint III: a later edge can shortcut the smaller-label
-    diameter path so that it stops being a shortest path (the bull in
-    ``docs/CORRECTNESS.md``, "Open gaps").
-    """
-    return constraint_two_ok_existing_edge(state, u, v) and constraint_three_ok_existing_edge(
-        state, u, v
-    )
-
-

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.database import MiningContext
 from repro.core.orders import canonical_label_orientation
@@ -80,20 +80,8 @@ class Stage1Mode(str, Enum):
     PRUNED = "pruned"
 
 
-def resolve_stage1_mode(
-    mode: Union[str, "Stage1Mode", None],
-    prune_intermediate: Optional[bool] = None,
-) -> "Stage1Mode":
-    """Normalise the two ways of spelling the Stage-1 exactness mode.
-
-    ``prune_intermediate`` is the pre-exactness-mode boolean kept for
-    backward compatibility; an explicit value wins over ``mode`` (``True``
-    maps to :attr:`Stage1Mode.PRUNED`, ``False`` to
-    :attr:`Stage1Mode.EXACT` — deferring every intermediate filter produces
-    the same final result as the exact mode's measure-aware pruning).
-    """
-    if prune_intermediate is not None:
-        return Stage1Mode.PRUNED if prune_intermediate else Stage1Mode.EXACT
+def resolve_stage1_mode(mode: Union[str, "Stage1Mode", None]) -> "Stage1Mode":
+    """The Stage-1 exactness mode ``mode`` names (``None`` is the default, exact)."""
     if mode is None:
         return Stage1Mode.EXACT
     return Stage1Mode(mode)
@@ -171,10 +159,6 @@ class DiamMine:
         :attr:`Stage1Mode.PRUNED` thresholds every intermediate length
         (the paper's literal Algorithm 2), which is heuristic under
         embedding-count support.
-    prune_intermediate:
-        Deprecated boolean spelling of ``mode`` kept for backward
-        compatibility; an explicit value overrides ``mode`` (``True`` →
-        pruned, ``False`` → exact).
     tracer:
         Optional :class:`repro.obs.Tracer`; when enabled, every cold ladder
         rung (``stage1.ladder``, one span per power-of-two length) and the
@@ -197,13 +181,12 @@ class DiamMine:
         context: MiningContext,
         max_paths_per_length: Optional[int] = None,
         mode: Union[str, Stage1Mode, None] = None,
-        prune_intermediate: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self._context = context
         self._max_paths_per_length = max_paths_per_length
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._mode = resolve_stage1_mode(mode, prune_intermediate)
+        self._mode = resolve_stage1_mode(mode)
         # Cache of the doubling ladder: length -> directed label seq -> set.
         self._ladder: Dict[int, Dict[LabelSeq, _DirectedPathSet]] = {}
 
@@ -221,27 +204,6 @@ class DiamMine:
             raise ValueError("path length must be at least 1")
         directed = self._mine_directed(length)
         return self._to_path_patterns(directed)
-
-    def mine_lengths(self, lengths: Iterable[int]) -> Dict[int, List[PathPattern]]:
-        """Mine several lengths at once, sharing the doubling ladder."""
-        return {length: self.mine(length) for length in sorted(set(lengths))}
-
-    def mine_at_least(self, length: int, maximum: int) -> Dict[int, List[PathPattern]]:
-        """Frequent paths of every length in ``[length, maximum]``.
-
-        The paper notes DiamMine "can be adapted to return frequent paths of
-        length at least l with minor changes"; bounding by ``maximum`` keeps
-        the adaptation finite.  Mining stops early at the first length with
-        no frequent paths (longer frequent paths would require frequent
-        sub-paths of every shorter length in all the workloads used here).
-        """
-        results: Dict[int, List[PathPattern]] = {}
-        for current in range(length, maximum + 1):
-            mined = self.mine(current)
-            if not mined:
-                break
-            results[current] = mined
-        return results
 
     # ------------------------------------------------------------------ #
     # Step 0: frequent edges
@@ -523,18 +485,6 @@ class DiamMine:
                 )
             )
         return results
-
-
-def mine_frequent_paths(
-    context: MiningContext,
-    length: int,
-    max_paths_per_length: Optional[int] = None,
-    mode: Union[str, Stage1Mode, None] = None,
-) -> List[PathPattern]:
-    """Convenience wrapper: one-shot DiamMine call."""
-    return DiamMine(
-        context, max_paths_per_length=max_paths_per_length, mode=mode
-    ).mine(length)
 
 
 def brute_force_frequent_paths(

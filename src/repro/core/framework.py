@@ -27,6 +27,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import (
     Callable,
     Dict,
@@ -526,72 +527,6 @@ class BoundedDiameterDriver:
     # ------------------------------------------------------------------ #
     # Stage 2: constraint-preserving growth
     # ------------------------------------------------------------------ #
-    def _extensions(self, context, graph, table, pendants=True):
-        """Pattern-level extension ops joined across the embedding table.
-
-        Yields ``(anchor, other, label, edge_label, join)`` for every
-        distinct one-edge extension supported by at least one row, pendant
-        ops first: a new pendant pattern vertex labelled ``label`` on
-        ``anchor`` (``other`` is ``None``; ``join`` holds ``(row, data
-        vertex)`` pairs), or a closing edge between the mapped vertices
-        ``anchor`` and ``other`` (``join`` holds the surviving row indices).
-        With ``pendants`` false only closing edges are collected.  Each op's
-        join is recorded during the single adjacency scan, so applying an op
-        is a pure join against the parent table rather than a re-scan.
-        """
-        pattern_edges = {frozenset(edge.endpoints()) for edge in graph.edges()}
-        columns = table.columns
-        new_vertex_ops: Dict[Tuple, List[Tuple[int, int]]] = {}
-        new_vertex_labels: Dict[Tuple, Tuple[object, object]] = {}
-        close_edge_ops: Dict[Tuple, List[int]] = {}
-        close_edge_labels: Dict[Tuple, object] = {}
-        last_graph_index = -1
-        data = None
-        for row_index, (graph_index, row) in enumerate(
-            zip(table.graph_ids, table.rows)
-        ):
-            # Frozen CSR view: sorted-tuple neighbour reads and cached label
-            # strings, shared across every row of the transaction (rows
-            # arrive grouped by graph).  Edge labels are read only when the
-            # view has an edge palette; otherwise every edge label is None.
-            if graph_index != last_graph_index:
-                data = context.frozen_graph(graph_index)
-                label_strs = data.label_strs
-                adjacency = data.adjacency
-                labelled = data.edge_palette is not None
-                edge_label, edge_key = None, "None"
-                last_graph_index = graph_index
-            # Embeddings are injective: data vertex → pattern vertex is
-            # well defined per row, so one inverse map answers both the
-            # membership probe and the closing-edge endpoint recovery.
-            mapped_get = dict(zip(row, columns)).get
-            for position, pattern_vertex in enumerate(columns):
-                data_vertex = row[position]
-                for neighbor in adjacency[data_vertex]:
-                    if labelled:
-                        edge_label = data.edge_label(data_vertex, neighbor)
-                        edge_key = str(edge_label)
-                    mapped = mapped_get(neighbor)
-                    if mapped is not None:
-                        if (
-                            pattern_vertex < mapped
-                            and frozenset((pattern_vertex, mapped)) not in pattern_edges
-                        ):
-                            op = (pattern_vertex, mapped, edge_key)
-                            close_edge_labels.setdefault(op, edge_label)
-                            close_edge_ops.setdefault(op, []).append(row_index)
-                    elif pendants:
-                        op = (pattern_vertex, label_strs[neighbor], edge_key)
-                        if op not in new_vertex_labels:
-                            new_vertex_labels[op] = (data.label_of(neighbor), edge_label)
-                        new_vertex_ops.setdefault(op, []).append((row_index, neighbor))
-
-        for op in sorted(new_vertex_ops):
-            label, edge_label = new_vertex_labels[op]
-            yield op[0], None, label, edge_label, new_vertex_ops[op]
-        for op in sorted(close_edge_ops):
-            yield op[0], op[1], None, close_edge_labels[op], close_edge_ops[op]
-
     def grow(
         self, context: MiningContext, minimal: object, parameter: Hashable
     ) -> List[SkinnyPattern]:
@@ -626,6 +561,7 @@ class BoundedDiameterDriver:
         encodings and frontier entry.
         """
         from repro.core.diameter import canonical_diameter
+        from repro.core.levelgrow import scan_extensions
         from repro.graph.canonical import TreeEncodings
         from repro.graph.embeddings import EmbeddingTable
         from repro.graph.paths import bfs_distances, diameter_at_most
@@ -664,10 +600,20 @@ class BoundedDiameterDriver:
             # when they are within the bound.
             last = size == max_edges
             new_id = max(graph.vertices()) + 1
+            # Every mapped vertex may sprout and every non-adjacent pair may
+            # close, except that one edge below the budget a pending state
+            # offers closing edges only: a pendant shortens no distance.
+            columns = [(vertex, table.position_of(vertex)) for vertex in sorted(table.columns)]
+            sprouts = [] if last and pending else columns
+            pairs = [
+                ((u, v), position_u, position_v)
+                for (u, position_u), (v, position_v) in combinations(columns, 2)
+                if not graph.has_edge(u, v)
+            ]
             # ecc(anchor) + 1 per anchor of a cyclic state, by one BFS each.
             reach: Dict[Hashable, int] = {}
-            for anchor, other, label, edge_label, join in self._extensions(
-                context, graph, table, pendants=not (last and pending)
+            for anchor, other, label, edge_label, join in scan_extensions(
+                context, table, sprouts, pairs, edge_labels=True
             ):
                 statistics.candidates_generated += 1
                 extended = child = None

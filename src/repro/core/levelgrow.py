@@ -11,8 +11,9 @@ frequent in the data.
 
 Embedding maintenance is *incremental*: a pattern's occurrences live in a
 columnar :class:`repro.graph.embeddings.EmbeddingTable`, and one adjacency
-scan over that table both proposes the admissible extensions **and** records
-each extension's join — the ``(row, data vertex)`` pairs (new twig vertex) or
+scan over that table (:func:`scan_extensions`, which the ``diam-le`` driver
+shares) both proposes the admissible extensions **and** records each
+extension's join — the ``(row, data vertex)`` pairs (new twig vertex) or
 surviving row indices (edge between mapped vertices) that realise it.
 Applying an extension is then a pure join against the parent table; no
 embedding is ever re-matched, no per-embedding dict or image set is built.
@@ -49,34 +50,109 @@ from repro.core.constraints import (
 from repro.core.database import MiningContext
 from repro.core.patterns import GrowthState
 from repro.graph.canonical import UnicyclicEncodings, canonical_key
+from repro.graph.embeddings import EmbeddingTable
 from repro.graph.labeled_graph import LabeledGraph, VertexId
 from repro.graph.paths import _farthest as _descriptor_farthest
 from repro.graph.paths import sum_sweep_diameter
 
 
-@dataclass(frozen=True)
-class NewVertexExtension:
-    """Attach a new vertex with ``label`` to pattern vertex ``parent``."""
+def scan_extensions(
+    context: MiningContext,
+    table: EmbeddingTable,
+    sprouts: Sequence[Tuple[VertexId, int]],
+    pairs: Sequence[Tuple[Tuple[VertexId, VertexId], int, int]],
+    *,
+    edge_labels: bool,
+) -> List[Tuple]:
+    """The one-edge extensions the rows of ``table`` offer, each with its join.
 
-    parent: VertexId
-    label: str
+    ``sprouts`` lists the ``(pattern vertex, column)`` pairs that may grow
+    a pendant, and ``pairs`` the ``((u, v), column of u, column of v)``
+    pairs that an edge may close.  One pass over the rows proposes every
+    extension that occurs somewhere in the data (pattern-growth style, so
+    the search stays cluster-local) and records which rows realise it, so
+    applying an extension is a join against ``table``, not a re-scan.
 
-    def sort_key(self) -> Tuple:
-        return (0, self.parent, self.label)
+    Each op is ``(anchor, other, label, edge_label, join)``:
 
+    * a pendant (``other is None``) hangs a new vertex on ``anchor``; its
+      ``join`` lists ``(row index, data vertex)`` pairs, row by row in
+      adjacency order;
+    * a closing edge joins ``anchor`` to ``other``, in the order ``pairs``
+      gives them; its ``join`` lists the surviving row indices, ascending.
 
-@dataclass(frozen=True)
-class ExistingEdgeExtension:
-    """Add the pattern edge (u, v) between two existing vertices."""
+    Pendants come first, sorted by (anchor, label string), then closing
+    edges, sorted by (min, max) of the pair.  Without ``edge_labels`` the
+    ``label`` is the label string and ``edge_label`` is ``None``.  With it
+    ops split by edge label, whose string sorts last; edge labels are read
+    only from views with an ``edge_palette`` (other views' edges have
+    none), and ``label`` and ``edge_label`` are the first label objects the
+    op's join saw.
 
-    u: VertexId
-    v: VertexId
+    The scan runs against the frozen CSR views of the data
+    (:meth:`~repro.core.database.MiningContext.frozen_graph`).  It reads
+    ``adjacency`` only at the images its rows map, and ``label_strs`` only
+    for a neighbour outside the row, so its cost follows the rows it joins,
+    not the size of the data graph.
+    """
+    pendant_joins: Dict[Tuple, List[Tuple[int, VertexId]]] = {}
+    closing_joins: Dict[Tuple, List[int]] = {}
+    # The first label objects of each op, kept only with edge_labels.
+    first_labels: Dict[Tuple, Tuple[object, object]] = {}
+    last_graph_index = -1
+    for row_index, (graph_index, row) in enumerate(
+        zip(table.graph_ids, table.rows)
+    ):
+        if graph_index != last_graph_index:
+            data = context.frozen_graph(graph_index)
+            adjacency = data.adjacency
+            label_strs = data.label_strs
+            labelled = edge_labels and data.edge_palette is not None
+            edge_label = None
+            edge_key = "None" if edge_labels else None
+            last_graph_index = graph_index
+        # Embeddings are injective, so a neighbour already used by the row
+        # can never be a pendant image: one set membership per visit.
+        row_set = set(row)
+        for anchor, position in sprouts:
+            image = row[position]
+            for neighbor in adjacency[image]:
+                if neighbor not in row_set:
+                    if labelled:
+                        edge_label = data.edge_label(image, neighbor)
+                        edge_key = str(edge_label)
+                    key = (anchor, label_strs[neighbor], edge_key)
+                    join = pendant_joins.get(key)
+                    if join is None:
+                        join = pendant_joins[key] = []
+                        if edge_labels:
+                            first_labels[key] = (data.label_of(neighbor), edge_label)
+                    join.append((row_index, neighbor))
+        for pair, position_u, position_v in pairs:
+            image, other_image = row[position_u], row[position_v]
+            # Sorted runs stay short in skinny data; linear membership
+            # beats a bisect call at these degrees.
+            if other_image in adjacency[image]:
+                if labelled:
+                    edge_label = data.edge_label(image, other_image)
+                    edge_key = str(edge_label)
+                key = (pair, edge_key)
+                rows = closing_joins.get(key)
+                if rows is None:
+                    rows = closing_joins[key] = []
+                    if edge_labels:
+                        first_labels[key] = (None, edge_label)
+                rows.append(row_index)
 
-    def sort_key(self) -> Tuple:
-        return (1, min(self.u, self.v), max(self.u, self.v))
-
-
-Extension = object  # union of the two dataclasses above
+    ops: List[Tuple] = []
+    for key in sorted(pendant_joins):
+        label, edge_label = first_labels[key] if edge_labels else (key[1], None)
+        ops.append((key[0], None, label, edge_label, pendant_joins[key]))
+    for key in sorted(closing_joins, key=lambda k: (min(k[0]), max(k[0]), k[1])):
+        (u, v), _ = key
+        edge_label = first_labels[key][1] if edge_labels else None
+        ops.append((u, v, None, edge_label, closing_joins[key]))
+    return ops
 
 
 class _DuplicateChild:
@@ -96,11 +172,6 @@ class _DuplicateChild:
 
     def __init__(self, support: Optional[int]) -> None:
         self.support = support
-
-#: The join recorded for one candidate while scanning the embedding table:
-#: ``(row index, data vertex)`` pairs for a new-vertex extension, or the
-#: sorted surviving row indices for an edge between mapped vertices.
-ExtensionJoin = Union[List[Tuple[int, VertexId]], List[int]]
 
 
 @dataclass
@@ -456,7 +527,7 @@ class DiameterDescriptorCache:
 
 @dataclass
 class LevelGrowth:
-    """What one ``grow_level`` pass produced.
+    """What one :meth:`LevelGrower.grow_level_full` pass produced.
 
     ``emitted`` are the reportable results: frequent, novel, and satisfying
     the full constraint.  ``pending`` are frequent intermediates that
@@ -522,15 +593,6 @@ class LevelGrower:
         """Record a pattern (typically the bare diameter) in the duplicate registry."""
         self._registry.add(self._canonical_key(state))
 
-    def grow_level(self, state: GrowthState, level: int) -> List[GrowthState]:
-        """The reportable patterns of :meth:`grow_level_full` (compatibility view).
-
-        Callers that drive a multi-level growth loop should use
-        :meth:`grow_level_full` and keep the pending states on their
-        frontier; this wrapper discards them.
-        """
-        return self.grow_level_full(state, level).emitted
-
     def grow_level_full(
         self, state: GrowthState, level: int, max_level: Optional[int] = None
     ) -> LevelGrowth:
@@ -580,16 +642,21 @@ class LevelGrower:
         while worklist:
             current = worklist.pop()
             current_deficient = deficient_of(current)
-            extensions = self._candidate_extensions(current, level)
+            ops = scan_extensions(
+                self._context,
+                current.table,
+                *self._level_positions(current, level),
+                edge_labels=False,
+            )
             # One shared data-BFS frontier answers every sibling pendant
             # probe of this state (cache-filling pre-pass); the per-candidate
             # checks below then hit the cache.
             self._batch_pendant_probes(
-                current, extensions, level, max_level, current_deficient
+                current, ops, level, max_level, current_deficient
             )
-            for extension, join in extensions:
+            for anchor, other, label, _, join in ops:
                 if current_deficient and not self._relevant_while_pending(
-                    current, current_deficient, extension
+                    current, current_deficient, anchor, other
                 ):
                     # From a pending state only deficiency-relevant structure
                     # may grow; everything else commutes past the repair (it
@@ -598,24 +665,25 @@ class LevelGrower:
                     # space from multiplying with every unrelated extension.
                     continue
                 self.statistics.candidates_generated += 1
-                distances = None
-                if isinstance(extension, NewVertexExtension):
-                    distances = new_vertex_distances(current, extension.parent)
+                if other is None:
+                    distances = new_vertex_distances(current, anchor)
                     dist_head, dist_tail = distances
                     limit = current.diameter_len
                     if (
                         dist_head > limit or dist_tail > limit
                     ) and not self._pendant_probe_viable(
-                        current, extension.parent, join, level, max_level
+                        current, anchor, join, level, max_level
                     ):
                         # Constraint-I violation with no conceivable repair:
                         # reject before paying for the embedding join.
                         self.statistics.candidates_rejected_constraints += 1
                         self.statistics.rejected_constraint_one += 1
                         continue
-                extended = self._apply_extension(
-                    current, extension, join, level, distances
-                )
+                    extended = self._apply_new_vertex(
+                        current, anchor, label, join, level, distances
+                    )
+                else:
+                    extended = self._apply_existing_edge(current, anchor, other, join)
                 if extended is None:
                     continue
                 if type(extended) is _DuplicateChild:
@@ -636,9 +704,9 @@ class LevelGrower:
                     continue
                 if (
                     current_deficient
-                    and isinstance(extension, ExistingEdgeExtension)
-                    and extension.u not in current_deficient
-                    and extension.v not in current_deficient
+                    and other is not None
+                    and anchor not in current_deficient
+                    and other not in current_deficient
                     and extended.deficiency >= current.deficiency
                 ):
                     # Edge between valid vertices that did not advance any
@@ -685,7 +753,7 @@ class LevelGrower:
                         credited.equal_support_children += 1
                     continue
                 if not self._holds_loop_invariant(
-                    extended, key, parent_state=current, extension=extension
+                    extended, key, pendant_parent=current if other is None else None
                 ):
                     # The pattern's true canonical diameter is some other
                     # (smaller-label) length-D(P) path: the pattern belongs
@@ -750,8 +818,7 @@ class LevelGrower:
         self,
         state: GrowthState,
         key: Optional[Tuple] = None,
-        parent_state: Optional[GrowthState] = None,
-        extension: Optional["Extension"] = None,
+        pendant_parent: Optional[GrowthState] = None,
     ) -> bool:
         """Loop Invariant 1 verified exactly before every emission.
 
@@ -775,6 +842,8 @@ class LevelGrower:
         (``invariant_cache_hits``), and memoisation can never revive a
         closed soundness gap because a cached descriptor decides each
         cluster's comparison against *its own* stored diameter.
+        ``pendant_parent`` is the state a pendant child grew from (``None``
+        for any other child).
         """
         started = time.perf_counter()
         if key is None:
@@ -786,11 +855,7 @@ class LevelGrower:
         if descriptor is not None:
             self.statistics.invariant_cache_hits += 1
             holds = descriptor == expected
-        elif (
-            parent_state is not None
-            and parent_state.invariant_verified
-            and isinstance(extension, NewVertexExtension)
-        ):
+        elif pendant_parent is not None and pendant_parent.invariant_verified:
             # Incremental verification: a pendant changes no existing
             # distance, so with the parent verified only the pairs involving
             # the new vertex can break the invariant.  A True verdict pins
@@ -897,25 +962,27 @@ class LevelGrower:
 
     @staticmethod
     def _relevant_while_pending(
-        state: GrowthState, deficient: Set[VertexId], extension: "Extension"
+        state: GrowthState,
+        deficient: Set[VertexId],
+        anchor: VertexId,
+        other: Optional[VertexId],
     ) -> bool:
-        """Pre-application filter for extensions of a pending state.
+        """Pre-application filter for the ops of a pending state.
 
-        A new vertex matters only if it hangs off a deficient vertex or ends
-        up deficient itself (a potential repair partner — a pendant can never
-        *reduce* anyone's distance); its pendency is decided by its own
-        distances, computable without applying.  An existing edge matters if
-        it touches a deficient vertex; edges between valid vertices get a
-        second, post-application chance in the caller (they can still repair
+        A new vertex on ``anchor`` (``other is None``) matters only if it
+        hangs off a deficient vertex or ends up deficient itself (a
+        potential repair partner — a pendant can never *reduce* anyone's
+        distance); its pendency is decided by its own distances, computable
+        without applying.  An existing edge matters if it touches a
+        deficient vertex; edges between valid vertices get a second,
+        post-application chance in the caller (they can still repair
         transitively by shrinking a neighbour's distance).
         """
-        if isinstance(extension, NewVertexExtension):
-            if extension.parent in deficient:
-                return True
-            dist_head, dist_tail = new_vertex_distances(state, extension.parent)
-            limit = state.diameter_len
-            return dist_head > limit or dist_tail > limit
-        return True
+        if other is not None or anchor in deficient:
+            return True
+        dist_head, dist_tail = new_vertex_distances(state, anchor)
+        limit = state.diameter_len
+        return dist_head > limit or dist_tail > limit
 
     # ------------------------------------------------------------------ #
     # pending viability
@@ -1035,7 +1102,7 @@ class LevelGrower:
     def _batch_pendant_probes(
         self,
         state: GrowthState,
-        extensions: Sequence[Tuple["Extension", "ExtensionJoin"]],
+        ops: Sequence[Tuple],
         level: int,
         max_level: Optional[int],
         deficient: Optional[Set[VertexId]] = None,
@@ -1044,14 +1111,14 @@ class LevelGrower:
 
         :meth:`_pendant_probe_viable` models each probe as a data-BFS from
         one would-be pendant image toward one row's diameter images.  Sibling
-        extensions of the same state ask many such probes against the *same*
-        terminal set and ball — every row of a cluster shares its root's
-        diameter images — so this pre-pass groups the uncached probes by
-        ``(graph, diameter images, side)`` and answers each group with one
-        multi-source BFS (:meth:`_probe_bfs_batch`) whose frontier carries a
-        per-source bitmask.  Results land in ``_probe_cache`` under exactly
-        the keys the per-candidate check reads, so verdicts are identical to
-        the dedicated walks they replace; ``probes_batched`` counts probes
+        pendant ops of the same state ask many such probes against the
+        *same* terminal set and ball — every row of a cluster shares its
+        root's diameter images — so this pre-pass groups the uncached probes
+        by ``(graph, diameter images, side)`` and answers each group with
+        one multi-source BFS (:meth:`_probe_bfs_batch`) whose frontier
+        carries a per-source bitmask.  Results land in ``_probe_cache``
+        under exactly the keys the per-candidate check reads, so verdicts
+        are identical to one-source walks; ``probes_batched`` counts probes
         that shared a frontier with at least one other.
         """
         started = time.perf_counter()
@@ -1064,16 +1131,16 @@ class LevelGrower:
         cache = self._probe_cache
         # (graph_index, diameter_images, side) -> ordered distinct sources.
         groups: Dict[Tuple[int, Tuple[VertexId, ...], int], Dict[VertexId, None]] = {}
-        for extension, join in extensions:
-            if not isinstance(extension, NewVertexExtension):
-                break  # candidate ordering puts all new-vertex extensions first
+        for parent, other, _, _, join in ops:
+            if other is not None:
+                break  # the scan puts every pendant first
             if deficient and not self._relevant_while_pending(
-                state, deficient, extension
+                state, deficient, parent, other
             ):
-                # The growth loop skips this extension outright on a pending
-                # state; probing for it would be work the solo path never did.
+                # The growth loop skips this op outright on a pending state;
+                # probing for it would be work the per-candidate check never
+                # did.
                 continue
-            parent = extension.parent
             pendant_head, pendant_tail = new_vertex_distances(state, parent)
             if pendant_head <= limit and pendant_tail <= limit:
                 continue
@@ -1127,15 +1194,16 @@ class LevelGrower:
         horizon: int,
         diameter_images: Tuple[VertexId, ...],
     ) -> Dict[VertexId, bool]:
-        """Multi-source variant of :meth:`_probe_bfs`, one frontier per group.
+        """The probe BFS of :meth:`_pendant_probe_viable`, one frontier for all ``starts``.
 
-        Each source owns one bit; a vertex's visited mask records which
-        sources have reached it, so bit ``b`` propagates to exactly the
-        vertices the solo BFS from ``starts[b]`` would visit, layer for
-        layer.  Per-source visit counts reproduce the solo
-        ``_VIABILITY_BFS_CAP`` give-up (conservative True), and sources
-        resolve out of the frontier as soon as a terminal answers them — the
-        shared frontier only merges work, never changes a verdict.
+        The terminals are the row's diameter images.  Each source owns one
+        bit; a vertex's visited mask records which sources have reached it,
+        so bit ``b`` propagates to exactly the vertices a one-source BFS
+        from ``starts[b]`` would visit, layer for layer.  Per-source visit
+        counts reproduce that walk's ``_VIABILITY_BFS_CAP`` give-up
+        (conservative True), and sources resolve out of the frontier as
+        soon as a terminal answers them — the shared frontier only merges
+        work, never changes a verdict.
         """
         graph = self._context.frozen_graph(graph_index)
         ball = self._diameter_ball(graph_index, diameter_images, limit, horizon)
@@ -1245,10 +1313,11 @@ class LevelGrower:
                 key = (graph_index, data_vertex, side, level, diameter_images)
                 cached = self._probe_cache.get(key)
                 if cached is None:
-                    cached = self._probe_bfs(
-                        graph_index, data_vertex, side, level, limit, horizon,
-                        diameter_images,
-                    )
+                    # A probe the batch pre-pass did not answer walks alone.
+                    cached = self._probe_bfs_batch(
+                        graph_index, (data_vertex,), side, level, limit,
+                        horizon, diameter_images,
+                    )[data_vertex]
                     self._probe_cache[key] = cached
                 if cached:
                     satisfied = True
@@ -1258,46 +1327,6 @@ class LevelGrower:
                 break
         self.statistics.probe_seconds += time.perf_counter() - started
         return result
-
-    def _probe_bfs(
-        self,
-        graph_index: int,
-        start: VertexId,
-        side: int,
-        level: int,
-        limit: int,
-        horizon: int,
-        diameter_images: Tuple[VertexId, ...],
-    ) -> bool:
-        """BFS core of :meth:`_pendant_probe_viable` (terminals = diameter images)."""
-        graph = self._context.frozen_graph(graph_index)
-        ball = self._diameter_ball(graph_index, diameter_images, limit, horizon)
-        terminal = {image: position for position, image in enumerate(diameter_images)}
-        visited = {start}
-        frontier = [start]
-        depth = 0
-        while frontier and depth + 1 <= limit:
-            next_frontier = []
-            for data_vertex in frontier:
-                for neighbor in graph.neighbors(data_vertex):
-                    if neighbor in terminal:
-                        if depth == 0 and level > 1:
-                            # A direct pendant–diameter edge spans levels
-                            # (level, 0); only iteration 1 proposes those.
-                            continue
-                        position = terminal[neighbor]
-                        distance = position if side == 0 else limit - position
-                        if distance + depth + 1 <= limit:
-                            return True
-                    elif neighbor not in visited:
-                        visited.add(neighbor)
-                        if len(visited) > self._VIABILITY_BFS_CAP:
-                            return True  # give up conservatively
-                        if ball.get(neighbor, horizon + 1) <= horizon:
-                            next_frontier.append(neighbor)
-            frontier = next_frontier
-            depth += 1
-        return False
 
     def _diameter_ball(
         self, graph_index: int, row: Tuple[VertexId, ...], limit: int, horizon: int
@@ -1389,47 +1418,29 @@ class LevelGrower:
     # ------------------------------------------------------------------ #
     # candidate generation
     # ------------------------------------------------------------------ #
-    def _candidate_extensions(
-        self, state: GrowthState, level: int
-    ) -> List[Tuple[Extension, ExtensionJoin]]:
-        """Extensions allowed at iteration ``level`` with their embedding joins.
+    @staticmethod
+    def _level_positions(state: GrowthState, level: int) -> Tuple[List, List]:
+        """The sprouts and closable pairs of iteration ``level``, for :func:`scan_extensions`.
 
-        One pass over the embedding table's adjacency both proposes every
-        extension that occurs somewhere in the data (pattern-growth style —
-        this is what makes the search cluster-local) and records, per
-        extension, which rows realise it; applying the extension later joins
-        on exactly those deltas instead of re-scanning the table.
-
-        The scan runs against the frozen CSR views of the data
-        (:meth:`~repro.core.database.MiningContext.frozen_graph`): per-vertex
-        sorted neighbour tuples and palette-cached label strings replace the
-        dict-of-sets walk and the per-neighbour ``str(label_of(...))`` calls
-        of the mutable graphs.  It reads ``adjacency`` only at the images its
-        rows map, and ``label_strs`` only for a neighbour outside the row, so
-        its cost follows the rows it joins, not the size of the data graph.
+        Pendants hang off level-(``level`` - 1) vertices only.  A closing
+        edge joins a level-(``level`` - 1) vertex to a level-``level`` one,
+        or two level-``level`` vertices, and is a property of the *pattern*,
+        not the data: the handful of admissible pairs is enumerated once,
+        and the scan probes each row's images against the data adjacency.
         """
-        pattern = state.pattern
         levels = state.levels
-        table = state.table
-        context = self._context
-        # Pendant extensions can only hang off level-1 vertices; edge
-        # extensions close a pair whose deeper endpoint sits at ``level``.
+        position_of = state.table.position_of
+        has_edge = state.pattern.has_edge
         parents = [
-            (vertex, table.position_of(vertex))
+            (vertex, position_of(vertex))
             for vertex, lvl in levels.items()
             if lvl == level - 1
         ]
         currents = [
-            (vertex, table.position_of(vertex))
+            (vertex, position_of(vertex))
             for vertex, lvl in levels.items()
             if lvl == level
         ]
-        has_edge = pattern.has_edge
-        # Edge-closing candidates are a property of the *pattern*, not the
-        # data: enumerate the handful of admissible vertex pairs once, then
-        # probe each row's images directly against the data adjacency.  This
-        # keeps the per-row neighbour walk (the Stage-2 hot loop) to the
-        # level-1 vertices that can actually sprout a pendant.
         pairs: List[Tuple[Tuple[VertexId, VertexId], int, int]] = []
         for u, pos_u in parents:
             for v, pos_v in currents:
@@ -1440,79 +1451,21 @@ class LevelGrower:
                 if not has_edge(u, v):
                     key = (u, v) if u < v else (v, u)
                     pairs.append((key, pos_u, pos_v))
-
-        new_vertex_joins: Dict[Tuple[VertexId, str], List[Tuple[int, VertexId]]] = {}
-        edge_joins: Dict[Tuple[VertexId, VertexId], Set[int]] = {}
-
-        last_graph_index = -1
-        adjacency: Dict[VertexId, Tuple[VertexId, ...]] = {}
-        label_strs: Dict[VertexId, str] = {}
-        for row_index, (graph_index, row) in enumerate(
-            zip(table.graph_ids, table.rows)
-        ):
-            if graph_index != last_graph_index:
-                frozen = context.frozen_graph(graph_index)
-                adjacency = frozen.adjacency
-                label_strs = frozen.label_strs
-                last_graph_index = graph_index
-            # Embeddings are injective, so a neighbour already used by the
-            # row can never be a pendant image: one set membership per visit.
-            row_set = set(row)
-            for parent, parent_position in parents:
-                for neighbor in adjacency[row[parent_position]]:
-                    if neighbor not in row_set:
-                        key = (parent, label_strs[neighbor])
-                        join = new_vertex_joins.get(key)
-                        if join is None:
-                            join = new_vertex_joins[key] = []
-                        join.append((row_index, neighbor))
-            for key, pos_u, pos_v in pairs:
-                # Sorted runs stay short in skinny data; linear membership
-                # beats a bisect call at these degrees.
-                if row[pos_v] in adjacency[row[pos_u]]:
-                    rows = edge_joins.get(key)
-                    if rows is None:
-                        rows = edge_joins[key] = set()
-                    rows.add(row_index)
-
-        ordered: List[Tuple[Extension, ExtensionJoin]] = [
-            (NewVertexExtension(parent, label), new_vertex_joins[(parent, label)])
-            for parent, label in sorted(new_vertex_joins)
-        ]
-        ordered.extend(
-            (ExistingEdgeExtension(u, v), sorted(edge_joins[(u, v)]))
-            for u, v in sorted(edge_joins, key=lambda uv: (min(uv), max(uv)))
-        )
-        return ordered
+        return parents, pairs
 
     # ------------------------------------------------------------------ #
     # extension application
     # ------------------------------------------------------------------ #
-    def _apply_extension(
-        self,
-        state: GrowthState,
-        extension: Extension,
-        join: ExtensionJoin,
-        level: int,
-        distances: Optional[Tuple[int, int]] = None,
-    ) -> Optional[Union[GrowthState, _DuplicateChild]]:
-        if isinstance(extension, NewVertexExtension):
-            return self._apply_new_vertex(state, extension, join, level, distances)
-        if isinstance(extension, ExistingEdgeExtension):
-            return self._apply_existing_edge(state, extension, join)
-        raise TypeError(f"unknown extension type: {extension!r}")
-
     def _apply_new_vertex(
         self,
         state: GrowthState,
-        extension: NewVertexExtension,
+        parent: VertexId,
+        label: str,
         join_pairs: Sequence[Tuple[int, VertexId]],
         level: int,
-        distances: Optional[Tuple[int, int]] = None,
+        distances: Tuple[int, int],
     ) -> Optional[Union[GrowthState, _DuplicateChild]]:
         new_vertex = state.next_vertex_id()
-        if distances is None:
-            distances = new_vertex_distances(state, extension.parent)
         dist_head, dist_tail = distances
         limit = state.diameter_len
         pendant_excess = max(0, dist_head - limit) + max(0, dist_tail - limit)
@@ -1542,9 +1495,7 @@ class LevelGrower:
         )
         if peekable and not self._child_accounting:
             started = time.perf_counter()
-            peek_key = carried.extended_key(
-                extension.parent, new_vertex, extension.label
-            )
+            peek_key = carried.extended_key(parent, new_vertex, label)
             duplicate = peek_key in self._registry
             self.statistics.canonical_seconds += time.perf_counter() - started
             if duplicate:
@@ -1554,13 +1505,11 @@ class LevelGrower:
         # Constraint I is NOT checked here: a pendant landing beyond D(P) is
         # repairable by a later edge, so grow_level_full keeps such states as
         # pending.  Constraints II and III reject outright.
-        if not constraint_two_ok_new_vertex(state, extension.parent):
+        if not constraint_two_ok_new_vertex(state, parent):
             self.statistics.candidates_rejected_constraints += 1
             self.statistics.rejected_constraint_two += 1
             return None
-        if not constraint_three_ok_new_vertex(
-            state, extension.parent, extension.label
-        ):
+        if not constraint_three_ok_new_vertex(state, parent, label):
             self.statistics.candidates_rejected_constraints += 1
             self.statistics.rejected_constraint_three += 1
             return None
@@ -1579,9 +1528,7 @@ class LevelGrower:
 
         if carried is not None and encodings is None:
             started = time.perf_counter()
-            encodings = carried.extend(
-                extension.parent, new_vertex, extension.label
-            )
+            encodings = carried.extend(parent, new_vertex, label)
             if peekable and encodings.key in self._registry:
                 self.statistics.canonical_incremental_hits += 1
                 self.statistics.canonical_seconds += time.perf_counter() - started
@@ -1589,8 +1536,8 @@ class LevelGrower:
             self.statistics.canonical_seconds += time.perf_counter() - started
 
         pattern = state.pattern.copy()
-        pattern.add_vertex(new_vertex, extension.label)
-        pattern.add_edge(extension.parent, new_vertex)
+        pattern.add_vertex(new_vertex, label)
+        pattern.add_edge(parent, new_vertex)
 
         levels = dict(state.levels)
         levels[new_vertex] = level
@@ -1606,7 +1553,7 @@ class LevelGrower:
             dist_tail=new_dist_tail,
             table=table,
             support=support,
-            last_extension=("new", extension.parent, extension.label),
+            last_extension=("new", parent, label),
             tainted=state.tainted or pendant_excess > 0,
         )
         # Along the never-pending fast path a pendant changes no existing
@@ -1638,10 +1585,10 @@ class LevelGrower:
     def _apply_existing_edge(
         self,
         state: GrowthState,
-        extension: ExistingEdgeExtension,
+        u: VertexId,
+        v: VertexId,
         join_rows: Sequence[int],
     ) -> Optional[GrowthState]:
-        u, v = extension.u, extension.v
         # Constraint I cannot fail: an edge between existing vertices only
         # shrinks distances.
         if not constraint_two_ok_existing_edge(state, u, v):

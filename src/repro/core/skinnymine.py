@@ -76,9 +76,6 @@ class SkinnyMine:
         (:class:`repro.core.diammine.Stage1Mode`); the default ``EXACT``
         mines every frequent diameter under any support measure, ``PRUNED``
         opts back into the paper's literal intermediate thresholding.
-    prune_intermediate:
-        Deprecated boolean spelling of ``stage1_mode`` (``True`` → pruned,
-        ``False`` → exact); an explicit value overrides ``stage1_mode``.
     tracer:
         Optional :class:`repro.obs.Tracer` for standalone (non-engine) use —
         the profiler and benchmarks drive :class:`SkinnyMine` directly.
@@ -108,12 +105,11 @@ class SkinnyMine:
         max_paths_per_length: Optional[int] = None,
         max_patterns_per_diameter: Optional[int] = None,
         stage1_mode: Union[str, Stage1Mode, None] = None,
-        prune_intermediate: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self._context = MiningContext(graphs, min_support, support_measure)
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._stage1_mode = resolve_stage1_mode(stage1_mode, prune_intermediate)
+        self._stage1_mode = resolve_stage1_mode(stage1_mode)
         self._max_paths_per_length = max_paths_per_length
         self._max_patterns_per_diameter = max_patterns_per_diameter
         self._diameter_index: Dict[int, List[PathPattern]] = {}

@@ -13,6 +13,7 @@ embeddings and order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from typing import Dict, List, Tuple
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.api import MiningEngine, Query
 from repro.cli import load_dataset
-from repro.core import framework
+from repro.core import framework, levelgrow
 from repro.core.database import MiningContext, SupportMeasure
 from repro.core.diameter import canonical_diameter
 from repro.core.framework import BoundedDiameterDriver
@@ -342,16 +343,28 @@ def test_no_join_builds_an_unreportable_child_at_the_budget(
     scanned = {}
     offered = {"pendant": 0, "closing": 0}
     joined = {"pendant": [], "closing": []}
-    extensions = BoundedDiameterDriver._extensions
+    scan = levelgrow.scan_extensions
     extended, subset = EmbeddingTable.extended, EmbeddingTable.subset
+
+    def shape_of(table, pairs):
+        """The scanned pattern, unlabelled: every column pair the driver does not offer."""
+        shape = LabeledGraph()
+        for vertex in table.columns:
+            shape.add_vertex(vertex, "v")
+        offered_pairs = {pair for pair, _, _ in pairs}
+        for u, v in itertools.combinations(sorted(table.columns), 2):
+            if (u, v) not in offered_pairs:
+                shape.add_edge(u, v)
+        return shape
 
     def child_of(graph, op):
         anchor, other, label, edge_label, _ = op
         new_id = max(graph.vertices()) + 1
         return framework._with_edge(graph, anchor, other, new_id, label, edge_label)
 
-    def recording_extensions(driver, context, graph, table, pendants=True):
-        for op in extensions(driver, context, graph, table, pendants):
+    def recording_scan(context, table, sprouts, pairs, *, edge_labels):
+        graph = shape_of(table, pairs)
+        for op in scan(context, table, sprouts, pairs, edge_labels=edge_labels):
             scanned["op"] = (graph, op)
             if graph.num_edges() == max_edges - 1 and diameter(child_of(graph, op)) > k:
                 offered["pendant" if op[1] is None else "closing"] += 1
@@ -365,7 +378,7 @@ def test_no_join_builds_an_unreportable_child_at_the_budget(
         joined["closing"].append(child_of(*scanned["op"]))
         return subset(table, rows)
 
-    monkeypatch.setattr(BoundedDiameterDriver, "_extensions", recording_extensions)
+    monkeypatch.setattr(levelgrow, "scan_extensions", recording_scan)
     monkeypatch.setattr(EmbeddingTable, "extended", recording_extended)
     monkeypatch.setattr(EmbeddingTable, "subset", recording_subset)
     diam_query = Query("diam-le", {"k": k, "max_edges": max_edges}, min_support=2)

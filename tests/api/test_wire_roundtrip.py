@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.api import Query, QueryStats, Result, ResultError, error_code
 from repro.api.errors import (
+    EdgeLabelledDataError,
     MalformedQueryError,
     MissingParameterError,
     ParameterTypeError,
@@ -175,5 +176,6 @@ class TestErrorCodes:
         assert error_code(ParameterTypeError("skinny", "bad type")) == "parameter_type"
         assert error_code(UnknownConstraintError("nope")) == "unknown_constraint"
         assert error_code(MalformedQueryError("not a query")) == "malformed_query"
+        assert error_code(EdgeLabelledDataError("skinny")) == "edge_labels_unsupported"
         assert error_code(QueryError("generic")) == "invalid_query"
         assert error_code(RuntimeError("boom")) == "internal_error"

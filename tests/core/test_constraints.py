@@ -13,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import (
-    admissible_existing_edge,
-    admissible_new_vertex,
     constraint_one_ok_new_vertex,
     constraint_three_ok_existing_edge,
     constraint_three_ok_new_vertex,
@@ -91,11 +89,19 @@ class TestNewVertexConstraints:
         state = make_state_from_labels("abcdefg")
         assert constraint_three_ok_new_vertex(state, 3, "A")
 
-    def test_admissible_new_vertex_combines_checks(self):
+    def test_pendant_checks_combine(self):
         state = make_state_from_labels("abcdefg")
-        assert admissible_new_vertex(state, 3, "z")
-        assert not admissible_new_vertex(state, 0, "z")
-        assert not admissible_new_vertex(state, 1, "A")
+
+        def admissible(parent, label):
+            return (
+                constraint_one_ok_new_vertex(state, parent)
+                and constraint_two_ok_new_vertex(state, parent)
+                and constraint_three_ok_new_vertex(state, parent, label)
+            )
+
+        assert admissible(3, "z")
+        assert not admissible(0, "z")
+        assert not admissible(1, "A")
 
 
 class TestExistingEdgeConstraints:
@@ -131,14 +137,20 @@ class TestExistingEdgeConstraints:
         # So no new diameter is created and the check passes.
         assert constraint_three_ok_existing_edge(state, twig, 0)
 
-    def test_admissible_existing_edge(self):
+    def test_closing_edge_checks_combine(self):
         state = make_state_from_labels("abcdefg")
+
+        def admissible(u, v):
+            return constraint_two_ok_existing_edge(
+                state, u, v
+            ) and constraint_three_ok_existing_edge(state, u, v)
+
         twig_a = add_twig(state, 2, "z", 1)
         twig_b = add_twig(state, 3, "y", 1)
-        assert admissible_existing_edge(state, twig_a, twig_b)
+        assert admissible(twig_a, twig_b)
         near_head = add_twig(state, 1, "x", 1)
         near_tail = add_twig(state, 5, "w", 1)
-        assert not admissible_existing_edge(state, near_head, near_tail)
+        assert not admissible(near_head, near_tail)
 
 
 class TestDistanceMaintenance:

@@ -15,7 +15,6 @@ from repro.core.diammine import (
     _DirectedPathSet,
     _edge_readings,
     brute_force_frequent_paths,
-    mine_frequent_paths,
 )
 from repro.core.orders import canonical_label_orientation
 from repro.graph.generators import (
@@ -288,7 +287,7 @@ class TestMerging:
         graph = erdos_renyi_graph(35, 2.2, 3, seed=3)
         context = MiningContext(graph, 2)
         for length in (3, 5, 6, 7):
-            mined = DiamMine(context, prune_intermediate=False).mine(length)
+            mined = DiamMine(context).mine(length)
             brute = brute_force_frequent_paths(context, length)
             assert sorted(p.labels for p in mined) == sorted(p.labels for p in brute)
             mined_support = {p.labels: p.support for p in mined}
@@ -359,23 +358,20 @@ class TestTransactionSetting:
 
 
 class TestConvenienceAPIs:
-    def test_mine_lengths_shares_ladder(self):
+    def test_one_miner_serves_several_lengths(self):
+        # The doubling ladder is cached across calls: mining lengths out of
+        # order on one miner gives what a fresh miner gives per length.
         graph = erdos_renyi_graph(40, 2, 3, seed=7)
         context = MiningContext(graph, 2)
         miner = DiamMine(context)
-        by_length = miner.mine_lengths([2, 4, 3])
-        assert set(by_length) == {2, 3, 4}
-        assert by_length[2] == miner.mine(2)
+        by_length = {length: miner.mine(length) for length in (2, 4, 3)}
+        for length, mined in by_length.items():
+            assert mined == DiamMine(context).mine(length)
 
-    def test_mine_at_least_stops_when_empty(self):
+    def test_lengths_beyond_the_data_are_empty(self):
         graph = graph_from_paths([list("abc"), list("abc")])
-        context = MiningContext(graph, 2)
-        results = DiamMine(context).mine_at_least(1, 10)
-        assert set(results) == {1, 2}
-
-    def test_functional_facade(self):
-        graph = graph_from_paths([list("abc"), list("abc")])
-        assert len(mine_frequent_paths(MiningContext(graph, 2), 2)) == 1
+        miner = DiamMine(MiningContext(graph, 2))
+        assert [len(miner.mine(length)) for length in (1, 2, 3)] == [2, 1, 0]
 
     def test_max_paths_per_length_caps_output(self):
         graph = erdos_renyi_graph(60, 3, 2, seed=13)
@@ -401,7 +397,7 @@ class TestAgainstBruteForce:
         graph = erdos_renyi_graph(vertices, degree, labels, seed=seed)
         for measure in (SupportMeasure.EMBEDDINGS, SupportMeasure.MNI):
             context = MiningContext(graph, 2, measure)
-            mined = DiamMine(context, prune_intermediate=False).mine(length)
+            mined = DiamMine(context).mine(length)
             brute = brute_force_frequent_paths(context, length)
             assert {p.labels: p.support for p in mined} == {
                 p.labels: p.support for p in brute

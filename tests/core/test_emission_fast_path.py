@@ -72,7 +72,7 @@ def disable_fast_path(monkeypatch):
 
     # No descriptor memoisation, no pendant incremental verification: every
     # emission recomputes the exact descriptor from scratch, unseeded.
-    def reference_invariant(self, state, key=None, parent_state=None, extension=None):
+    def reference_invariant(self, state, key=None, pendant_parent=None):
         return diameter_descriptor(state.pattern) == (
             state.diameter_len,
             state.diameter_label_sequence(),
@@ -86,8 +86,55 @@ def disable_fast_path(monkeypatch):
     monkeypatch.setattr(
         levelgrow_module.LevelGrower,
         "_batch_pendant_probes",
-        lambda self, state, extensions, level, max_level, deficient=None: None,
+        lambda self, state, ops, level, max_level, deficient=None: None,
     )
+    monkeypatch.setattr(
+        levelgrow_module.LevelGrower,
+        "_probe_bfs_batch",
+        lambda self, graph_index, starts, *walk: {
+            start: solo_probe_bfs(self, graph_index, start, *walk) for start in starts
+        },
+    )
+
+
+def solo_probe_bfs(grower, graph_index, start, side, level, limit, horizon, diameter_images):
+    """The one-source probe walk, the reference for the grower's multi-source BFS.
+
+    A data BFS from the would-be pendant image ``start`` whose terminals are
+    the row's diameter images: reaching the image at diameter position ``p``
+    after ``depth`` intermediate vertices gives the pendant a conceivable
+    head distance of ``p + depth + 1`` (tail: ``limit - p + depth + 1``).
+    It walks only inside the diameter ball, and past the visit cap it gives
+    up and answers True.
+    """
+    graph = grower._context.frozen_graph(graph_index)
+    ball = grower._diameter_ball(graph_index, diameter_images, limit, horizon)
+    terminal = {image: position for position, image in enumerate(diameter_images)}
+    visited = {start}
+    frontier = [start]
+    depth = 0
+    while frontier and depth + 1 <= limit:
+        next_frontier = []
+        for data_vertex in frontier:
+            for neighbor in graph.neighbors(data_vertex):
+                if neighbor in terminal:
+                    if depth == 0 and level > 1:
+                        # A direct pendant–diameter edge spans levels
+                        # (level, 0); only iteration 1 proposes those.
+                        continue
+                    position = terminal[neighbor]
+                    distance = position if side == 0 else limit - position
+                    if distance + depth + 1 <= limit:
+                        return True
+                elif neighbor not in visited:
+                    visited.add(neighbor)
+                    if len(visited) > grower._VIABILITY_BFS_CAP:
+                        return True  # give up conservatively
+                    if ball.get(neighbor, horizon + 1) <= horizon:
+                        next_frontier.append(neighbor)
+        frontier = next_frontier
+        depth += 1
+    return False
 
 
 SCENARIOS = [

@@ -8,12 +8,7 @@ from repro.api import MiningEngine, Query
 from repro.cli import load_dataset
 from repro.core.database import MiningContext, SupportMeasure
 from repro.core.diammine import DiamMine
-from repro.core.levelgrow import (
-    ExistingEdgeExtension,
-    LevelGrower,
-    LevelGrowStatistics,
-    NewVertexExtension,
-)
+from repro.core.levelgrow import LevelGrower, LevelGrowStatistics
 from repro.core.patterns import initial_state_from_path
 from repro.core.skinnymine import SkinnyMine
 from repro.graph.generators import erdos_renyi_graph, random_transaction_database
@@ -41,14 +36,6 @@ def backbone_path(context, length=2, labels=("a", "b", "c")):
     raise AssertionError(f"no frequent path with labels {labels}")
 
 
-class TestExtensionsOrdering:
-    def test_sort_keys(self):
-        new = NewVertexExtension(parent=2, label="z")
-        edge = ExistingEdgeExtension(u=5, v=3)
-        assert new.sort_key()[0] == 0
-        assert edge.sort_key() == (1, 3, 5)
-
-
 class TestLevelGrow:
     def test_grows_frequent_twig(self):
         graph = star_data_graph()
@@ -56,7 +43,7 @@ class TestLevelGrow:
         root = initial_state_from_path(backbone_path(context))
         grower = LevelGrower(context)
         grower.register(root)
-        grown = grower.grow_level(root, 1)
+        grown = grower.grow_level_full(root, 1).emitted
         assert len(grown) == 1
         result = grown[0]
         assert result.pattern.num_vertices() == 4
@@ -72,7 +59,7 @@ class TestLevelGrow:
         root = initial_state_from_path(backbone_path(context))
         grower = LevelGrower(context)
         grower.register(root)
-        grown = grower.grow_level(root, 1)
+        grown = grower.grow_level_full(root, 1).emitted
         labels_used = {
             str(state.pattern.label_of(v))
             for state in grown
@@ -92,7 +79,7 @@ class TestLevelGrow:
         root = initial_state_from_path(backbone_path(context))
         grower = LevelGrower(context)
         grower.register(root)
-        grown = grower.grow_level(root, 1)
+        grown = grower.grow_level_full(root, 1).emitted
         assert grown == []
         assert grower.statistics.candidates_rejected_constraints >= 1
 
@@ -102,7 +89,7 @@ class TestLevelGrow:
         root = initial_state_from_path(backbone_path(context))
         grower = LevelGrower(context)
         with pytest.raises(ValueError):
-            grower.grow_level(root, 0)
+            grower.grow_level_full(root, 0)
 
     def test_max_patterns_cap(self):
         graph = star_data_graph()
@@ -117,7 +104,7 @@ class TestLevelGrow:
         root = initial_state_from_path(backbone_path(context))
         grower = LevelGrower(context, max_patterns=3)
         grower.register(root)
-        grown = grower.grow_level(root, 1)
+        grown = grower.grow_level_full(root, 1).emitted
         assert 0 < len(grown) <= 4
 
     def test_duplicate_statistics(self):
@@ -133,7 +120,7 @@ class TestLevelGrow:
         root = initial_state_from_path(backbone_path(context))
         grower = LevelGrower(context)
         grower.register(root)
-        grown = grower.grow_level(root, 1)
+        grown = grower.grow_level_full(root, 1).emitted
         # Patterns: +x, +y, +x+y  (and +x twice is impossible: only one x per copy).
         assert len(grown) == 3
         assert grower.statistics.candidates_rejected_duplicate >= 1
@@ -153,7 +140,7 @@ class TestLevelGrow:
         root = initial_state_from_path(backbone_path(context))
         grower = LevelGrower(context)
         grower.register(root)
-        grown = grower.grow_level(root, 1)
+        grown = grower.grow_level_full(root, 1).emitted
         # Expect at least one grown pattern containing the z-y edge (a triangle
         # hanging off the backbone).
         has_cycle = any(
@@ -229,7 +216,7 @@ class TestLevelGrow:
         root = initial_state_from_path(backbone_path(context))
         grower = LevelGrower(context)
         grower.register(root)
-        grown = grower.grow_level(root, 1)
+        grown = grower.grow_level_full(root, 1).emitted
         assert grown  # the frequent 'w' twig
         assert grower.statistics.canonical_incremental_hits >= len(grown)
         assert grower.statistics.probes_batched >= 2

@@ -195,7 +195,7 @@ class TestSingleGraphReferenceComparison:
 
     def test_support_values_match_reference(self):
         graph = erdos_renyi_graph(14, 1.5, 3, seed=77)
-        mined = SkinnyMine(graph, min_support=2, prune_intermediate=False).mine(2, 1)
+        mined = SkinnyMine(graph, min_support=2).mine(2, 1)
         reference = {
             p.canonical_form(): p.support
             for p in enumerate_and_check_spm(graph, 2, 1, 2, max_edges=8)

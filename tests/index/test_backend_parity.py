@@ -9,6 +9,8 @@ twice — once over a :class:`MemoryPatternStore`, once over a
 serialisations (timings excluded: ``stats`` is wall-clock), identical
 warm re-serves, and identical corpus-query answers.  The SQLite warm leg
 reopens the database, so the persisted entry itself is what round-trips.
+The edge-labelled scenario is refused alike by both stores, and leaves
+neither holding an entry: ``skinny`` reads vertex labels only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import MiningEngine, Query
+from repro.api import EdgeLabelledDataError, MiningEngine, Query
 from repro.index import MemoryPatternStore, SqlitePatternStore, decode_count
 
 _scenarios_spec = importlib.util.spec_from_file_location(
@@ -65,6 +67,14 @@ class TestBackendParity:
         self, tmp_path, kind, seed, params, length, delta, sigma, measure
     ):
         query = scenario_query(length, delta, sigma, measure)
+        if kind == "transactions-elabel":
+            sqlite = SqlitePatternStore(tmp_path)
+            for store in (MemoryPatternStore(), sqlite):
+                with pytest.raises(EdgeLabelledDataError):
+                    MiningEngine(scenario_graphs(kind, seed, params), store=store).run(query)
+                assert list(store.keys()) == []
+            sqlite.close()
+            return
 
         memory = MemoryPatternStore()
         cold_memory = result_bytes(

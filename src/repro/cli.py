@@ -458,7 +458,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_budget_ms=args.budget_ms,
         cache_size=args.cache_size,
         cache_ttl_seconds=args.cache_ttl,
-        stage1_processes=args.stage1_processes,
     )
 
     async def _run() -> None:
@@ -755,12 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-ttl", type=float, default=30.0, help="result-cache TTL in seconds"
-    )
-    serve.add_argument(
-        "--stage1-processes",
-        type=int,
-        default=0,
-        help="offload cold Stage-1 mining to this many subprocesses (0 = inline)",
     )
     serve.set_defaults(handler=_cmd_serve)
 

@@ -616,7 +616,7 @@ class BoundedDiameterDriver:
                 context, table, sprouts, pairs, edge_labels=True
             ):
                 statistics.candidates_generated += 1
-                extended = child = None
+                extended = None
                 if other is None:
                     # A pendant leaves every distance between existing
                     # vertices as it was: the child's diameter is
@@ -647,12 +647,6 @@ class BoundedDiameterDriver:
                     extended = _with_edge(graph, anchor, None, new_id, label, edge_label)
                 if extended is not None:
                     key = canonical_key(extended)
-                elif far > encodings.diam and not last:
-                    # The leaf lengthens the diameter, where extended_key
-                    # would build the full extension anyway: keep it.
-                    child = encodings.extend(anchor, new_id, label, edge_label)
-                    key = child.key
-                    statistics.canonical_incremental_hits += 1
                 else:
                     key = encodings.extended_key(anchor, new_id, label, edge_label)
                     statistics.canonical_incremental_hits += 1
@@ -672,8 +666,11 @@ class BoundedDiameterDriver:
                 if extended is None:
                     extended = _with_edge(graph, anchor, None, new_id, label, edge_label)
                 if not last:
-                    if child is None and encodings is not None and other is None:
-                        child = encodings.extend(anchor, new_id, label, edge_label)
+                    child = (
+                        encodings.extend(anchor, new_id, label, edge_label)
+                        if encodings is not None and other is None
+                        else None
+                    )
                     frontier.append((extended, extended_table, child, not within))
                 if within:
                     statistics.patterns_emitted += 1

@@ -49,7 +49,7 @@ from repro.core.constraints import (
 )
 from repro.core.database import MiningContext
 from repro.core.patterns import GrowthState
-from repro.graph.canonical import UnicyclicEncodings, canonical_key
+from repro.graph.canonical import TreeEncodings, UnicyclicEncodings, canonical_key
 from repro.graph.embeddings import EmbeddingTable
 from repro.graph.labeled_graph import LabeledGraph, VertexId
 from repro.graph.paths import _farthest as _descriptor_farthest
@@ -191,8 +191,9 @@ class LevelGrowStatistics:
     * ``canonical_incremental_hits`` — keys looked up in a duplicate
       registry (a pending child's before its viability probe, so an
       unviable one counts too) served from the carried
-      :class:`~repro.graph.canonical.TreeEncodings` (O(depth) derivation)
-      instead of a batch AHU re-canonicalisation;
+      :class:`~repro.graph.canonical.TreeEncodings` or
+      :class:`~repro.graph.canonical.UnicyclicEncodings` (O(depth)
+      derivation) instead of a batch re-canonicalisation;
     * ``invariant_cache_hits`` — Loop-Invariant verdicts answered from the
       memoised diameter descriptor of an isomorphic pattern seen earlier
       (typically in another cluster that generated the same candidate);
@@ -796,7 +797,7 @@ class LevelGrower:
         the Loop-Invariant check.
         """
         started = time.perf_counter()
-        encodings = state.tree_encodings or state.cycle_encodings
+        encodings = state.encodings
         if encodings is not None:
             key = encodings.key
             self.statistics.canonical_incremental_hits += 1
@@ -901,8 +902,8 @@ class LevelGrower:
         # pendant's eccentricity is two dict reads.  Only ecc == D(P) needs
         # the BFS below (far pairs exist and their label sequences must be
         # compared against L); ecc decides the verdict outright otherwise.
-        encodings = state.tree_encodings
-        if encodings is not None:
+        encodings = state.encodings
+        if isinstance(encodings, TreeEncodings):
             eccentricity = max(encodings.d1[pendant], encodings.d2[pendant])
             if eccentricity > limit:
                 return False
@@ -1480,14 +1481,13 @@ class LevelGrower:
         # the child is known to reach the main registry with deficiency 0,
         # so a key hit short-circuits to the duplicate branch (a registered
         # pattern has already been explored once, whatever gate this
-        # re-derivation would have failed).  The peek uses
-        # :meth:`TreeEncodings.extended_key`, which overlays the re-encoded
-        # attach→root path on the parent's encodings without the dict copies
-        # a full ``extend`` performs — a duplicate costs one key derivation
-        # and one set probe.  With child accounting on, the peek instead
-        # waits for the join so the credited support stays available.
+        # re-derivation would have failed).  The peek uses ``extended_key``,
+        # which re-encodes the leaf's path to the root without the dict
+        # copies a full ``extend`` performs — a duplicate costs one key
+        # derivation and one set probe.  With child accounting on, the peek
+        # instead waits for the join so the credited support stays available.
         encodings = None
-        carried = state.tree_encodings or state.cycle_encodings
+        carried = state.encodings
         peekable = (
             carried is not None
             and not state.tainted
@@ -1576,10 +1576,7 @@ class LevelGrower:
         labels = getattr(state, "_diameter_labels", None)
         if labels is not None:
             extended._diameter_labels = labels
-        if state.cycle_encodings is not None:
-            extended.cycle_encodings = encodings
-        else:
-            extended.tree_encodings = encodings
+        extended.encodings = encodings
         return extended
 
     def _apply_existing_edge(
@@ -1641,6 +1638,6 @@ class LevelGrower:
         # compute the same key from scratch for this very state.
         if pattern.num_edges() == pattern.num_vertices():
             started = time.perf_counter()
-            carrier.cycle_encodings = UnicyclicEncodings.from_graph(pattern)
+            carrier.encodings = UnicyclicEncodings.from_graph(pattern)
             self.statistics.canonical_seconds += time.perf_counter() - started
         return carrier

@@ -21,7 +21,7 @@ smaller physical ids) favour the stored diameter automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.orders import canonical_label_orientation
 from repro.graph.canonical import TreeEncodings, UnicyclicEncodings, canonical_key
@@ -166,25 +166,15 @@ class GrowthState:
     # check reduces to the pairs involving the new vertex — the growth
     # loop's incremental verification path (see LevelGrower).
     invariant_verified: bool = False
-    # Carried rooted AHU encodings while the pattern is still a tree (the
-    # overwhelmingly common case for grown skinny patterns): the duplicate
-    # registry's canonical key is then derived from the parent's encodings in
-    # O(depth) per pendant extension instead of re-canonicalising the whole
-    # tree (see repro.graph.canonical.TreeEncodings).  ``None`` once a
-    # cycle-closing edge lands (those patterns carry ``cycle_encodings`` or
-    # take the batch ``canonical_key``) or when an incremental derivation was
-    # not possible.  Runtime-only: never serialised, shared by reference
-    # across copies (immutable).
-    tree_encodings: Optional[TreeEncodings] = None
-    # The unicyclic counterpart, carried once a cycle-closing edge lands
-    # (|E| = |V|): the single cycle is fixed for the rest of the derivation
-    # chain — pendant growth never changes the 2-core, and a second closing
-    # edge leaves the unicyclic tier — so the registry key is derived from
-    # the parent's hanging-tree encodings in O(depth + cycle) per pendant
-    # extension (see repro.graph.canonical.UnicyclicEncodings).  ``None``
-    # for trees, for >=2-cycle patterns, and when an incremental derivation
-    # was not possible.  Runtime-only, shared by reference (immutable).
-    cycle_encodings: Optional["UnicyclicEncodings"] = None
+    # The carried canonical encodings, from which LevelGrow derives a pendant
+    # child's registry key in O(depth) instead of re-canonicalising it (see
+    # repro.graph.canonical): a TreeEncodings while the pattern is a tree,
+    # a UnicyclicEncodings from the closing edge that makes |E| = |V| (the
+    # one cycle is then fixed for the rest of the derivation chain, since
+    # pendants never change the 2-core).  ``None`` for patterns of cycle
+    # rank >= 2, which take the batch ``canonical_key``.  Runtime-only:
+    # never serialised, shared by reference across copies (immutable).
+    encodings: Optional[Union[TreeEncodings, UnicyclicEncodings]] = None
     # For pending states: the nearest *reportable* ancestor.  Emissions
     # reached through a pending excursion are super-patterns of that
     # ancestor, so the closed/maximal child accounting must credit it (the
@@ -253,8 +243,7 @@ class GrowthState:
             support=self.support,
             last_extension=self.last_extension,
             invariant_verified=self.invariant_verified,
-            tree_encodings=self.tree_encodings,
-            cycle_encodings=self.cycle_encodings,
+            encodings=self.encodings,
             deficiency=self.deficiency,
             tainted=self.tainted,
             origin=self.origin,
@@ -332,5 +321,5 @@ def initial_state_from_path(path: PathPattern) -> GrowthState:
         invariant_verified=True,
         # Seed the incremental canonical-key fast path: every pendant
         # extension derives its key from these encodings in O(depth).
-        tree_encodings=TreeEncodings.from_tree(graph),
+        encodings=TreeEncodings.from_tree(graph),
     )

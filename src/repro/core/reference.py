@@ -274,6 +274,9 @@ def enumerate_frequent_connected_subgraphs(
     def mni_of(pattern: LabeledGraph) -> int:
         # Position-wise minimum image count over *all* embeddings of the
         # pattern (including automorphic re-mappings), the textbook MNI.
+        # VF2 lets an unlabelled pattern edge match a labelled data edge,
+        # so a mapping counts only if every edge label matches exactly, as
+        # the occurrences behind the other two measures do.
         from repro.graph.isomorphism import find_subgraph_embeddings
 
         images: Dict[VertexId, Set[Tuple[int, VertexId]]] = {
@@ -284,6 +287,11 @@ def enumerate_frequent_connected_subgraphs(
             for mapping in find_subgraph_embeddings(
                 pattern, graph, distinct_images=False
             ):
+                if any(
+                    graph.edge_label(mapping[edge.u], mapping[edge.v]) != edge.label
+                    for edge in pattern.edges()
+                ):
+                    continue
                 for pattern_vertex, data_vertex in mapping.items():
                     images[pattern_vertex].add((graph_index, data_vertex))
         return min((len(image) for image in images.values()), default=0)

@@ -16,7 +16,9 @@ three cases, picked by the cycle rank ``|E| - |V| + 1``:
 
 The two rungs are near-linear, and :class:`TreeEncodings` and
 :class:`UnicyclicEncodings` let the growth loop derive a one-leaf
-extension's key in O(depth).  The labeller prunes its search with the
+extension's key in O(depth): one function, :func:`_splice`, re-encodes the
+new leaf's path to the root, and both classes build ``extend`` and
+``extended_key`` on it.  The labeller prunes its search with the
 automorphisms it finds, so symmetric patterns such as K_n, grids or unions
 of equal parts stay cheap.
 """
@@ -346,37 +348,120 @@ def canonical_key(graph: LabeledGraph) -> Tuple:
     return refinement_canonical_key(graph)
 
 
+def _splice(
+    enc: Dict[VertexId, Tuple],
+    parent: Dict[VertexId, Optional[VertexId]],
+    attach: VertexId,
+    new_vertex: VertexId,
+    vertex_label: Optional[Label],
+    edge_label: Optional[Label],
+) -> Dict[VertexId, Tuple]:
+    """The new encodings of the path from a new leaf up to its root.
+
+    Hanging leaf ``new_vertex`` off ``attach`` changes the encodings of the
+    leaf, of ``attach`` and of its ancestors only, and in each ancestor's
+    sorted child tuple exactly one entry: its child on the path.  That
+    entry is spliced in by bisect, O(log k) tuple comparisons instead of a
+    re-sort of k children.  The result maps the leaf, ``attach``, ..., the
+    root to their new encodings, in that order; ``enc`` and ``parent`` (the
+    rooted structure before the leaf) are read, never written.
+    """
+    if attach not in parent:
+        raise ValueError(f"attachment vertex {attach!r} is not in the pattern")
+    if new_vertex in parent:
+        raise ValueError(f"vertex {new_vertex!r} is already in the pattern")
+    new = (_label_key(vertex_label), _label_key(edge_label), ())
+    path = {new_vertex: new}
+    old: Optional[Tuple] = None
+    vertex: Optional[VertexId] = attach
+    while vertex is not None:
+        stored = enc[vertex]
+        kids = stored[2]
+        if old is not None:
+            at = bisect_left(kids, old)
+            kids = kids[:at] + kids[at + 1 :]
+        at = bisect_left(kids, new)
+        new = (stored[0], stored[1], kids[:at] + (new,) + kids[at:])
+        path[vertex] = new
+        old = stored
+        vertex = parent[vertex]
+    return path
+
+
+def _graft(encodings, attach: VertexId, new_vertex: VertexId, path: Dict[VertexId, Tuple]):
+    """Copies of ``encodings``' parent, children and encoding maps with the leaf added."""
+    parent = dict(encodings.parent)
+    children = dict(encodings.children)
+    enc = dict(encodings.enc)
+    parent[new_vertex] = attach
+    children[new_vertex] = []
+    children[attach] = children[attach] + [new_vertex]
+    enc.update(path)
+    return parent, children, enc
+
+
+def _reroot_step(root_enc: Tuple, child_enc: Tuple) -> Tuple[Tuple, Tuple]:
+    """The encodings of a root and of its child ``c`` once ``c`` is the root.
+
+    ``root_enc`` and ``child_enc`` encode the two under the old rooting;
+    nothing else changes.  The old root loses ``c`` from its children and
+    takes the label of the edge to ``c``, which ``child_enc`` carries; ``c``
+    gains the old root as a child.
+    """
+    kids = root_enc[2]
+    at = bisect_left(kids, child_enc)
+    below = (root_enc[0], child_enc[1], kids[:at] + kids[at + 1 :])
+    kids = child_enc[2]
+    at = bisect_left(kids, below)
+    return below, (child_enc[0], "", kids[:at] + (below,) + kids[at:])
+
+
+def _centre_key(
+    root_enc: Tuple, child_enc: Optional[Tuple], root_is_centre: bool = True
+) -> Tuple:
+    """The tree key: the smallest encoding of the tree rooted at a centre.
+
+    ``root_enc`` encodes the tree rooted at a vertex ``r``.  The centres are
+    ``r`` when ``root_is_centre``, and, when ``child_enc`` is given, the
+    child of ``r`` that it encodes (under the rooting at ``r``).
+    """
+    candidates = [root_enc] if root_is_centre else []
+    if child_enc is not None:
+        candidates.append(_reroot_step(root_enc, child_enc)[1])
+    return ("t", min(candidates))
+
+
 class TreeEncodings:
     """Rooted AHU encodings of a free labeled tree, extensible one leaf at a time.
 
     The batch :func:`tree_canonical_key` re-encodes the whole tree — every
     vertex's sorted-children tuple is rebuilt — on each call.  During pattern
     growth, however, consecutive trees differ by exactly one pendant edge, so
-    only the encodings on the path from the attachment vertex up to the root
-    can change.  ``TreeEncodings`` carries the rooted structure (parent map,
-    children lists, per-vertex encoding) needed to re-canonicalise just that
-    path: :meth:`extend` derives the child tree's encodings — and its
-    canonical :attr:`key`, equal to the batch key — in O(depth · degree)
-    tuple work instead of a full re-encode.
+    only the encodings on the path from the new leaf up to the root change:
+    :func:`_splice` re-encodes that path without touching the parent, and
+    both :meth:`extend` (the child's encodings) and :meth:`extended_key` (its
+    key alone, with no map copied) are built on it.  Either derives the
+    child's canonical :attr:`key`, equal to the batch key, in O(depth ·
+    log degree) tuple work instead of a full re-encode.
 
-    Invariants: :attr:`root` is always a centre of the tree, and :attr:`enc`
-    holds, for every vertex, the same ``(vertex label, edge-to-parent label,
-    sorted child encodings)`` triple :func:`_rooted_tree_encoding` would
-    produce under that rooting.  Adding a leaf moves the centre by at most
-    one edge toward it, so :meth:`extend` re-roots stepwise (each step is a
-    local O(degree) exchange between the old root and one child) rather than
-    re-encoding from scratch.
+    Invariants: :attr:`root` is always a centre of the tree, ``centers[0]``,
+    and :attr:`enc` holds, for every vertex, the same ``(vertex label,
+    edge-to-parent label, sorted child encodings)`` triple
+    :func:`_rooted_tree_encoding` would produce under that rooting.  The key
+    is the smallest encoding rooted at a centre (:func:`_centre_key`); a
+    second centre is a child of the root.
 
-    Centres are maintained through the classic endpoint recurrence instead
-    of leaf stripping: the instance carries one diameter endpoint pair
-    ``(e1, e2)`` with the per-vertex distance maps ``d1`` / ``d2``.  After
-    adding leaf ``u``, ``ecc(u) = max(d1[u], d2[u])`` and the new diameter
-    is ``max(diam, ecc(u))`` (every farthest-vertex path in a tree ends at a
-    diameter endpoint), so the maps extend by one entry in O(1) — a full
-    re-BFS happens only on the rare extension that actually lengthens the
-    diameter, which constraint-preserving growth almost never does.  The
-    centres are then the middle vertices of the ``e1``–``e2`` path:
-    ``d1[v] + d2[v] == diam`` with both distances within ``⌈diam/2⌉``.
+    A new leaf can never be a centre, and its eccentricity is
+    ``ecc(attach) + 1``.  The instance carries one diameter endpoint pair
+    ``(e1, e2)`` with the per-vertex distance maps ``d1`` / ``d2``, so
+    ``ecc(attach) = max(d1[attach], d2[attach])`` (every farthest-vertex
+    path in a tree ends at a diameter endpoint).  Below the diameter, the
+    centres stay.  A leaf that lengthens the diameter moves the centre half
+    an edge toward itself: one centre (the root) gains the root's child on
+    the leaf's path, and of two centres the one nearer the leaf stays, so
+    :meth:`extend` re-roots by at most one step.  Only :meth:`extend`
+    updates the distance maps, by one entry each, or by one BFS for the
+    replaced endpoint when the diameter grew.
 
     Instances are immutable from the caller's perspective: :meth:`extend`
     returns a new object and never mutates its receiver (growth states share
@@ -452,7 +537,8 @@ class TreeEncodings:
                 edge,
                 tuple(sorted(enc[child] for child in children[vertex])),
             )
-        instance = cls(root, parent, children, enc, ())
+        key = _centre_key(enc[root], enc[centers[1]] if len(centers) == 2 else None)
+        instance = cls(root, parent, children, enc, key)
         # Diameter endpoints by double BFS over the rooted structure.
         probe = instance._distances_from(root)
         e1 = max(probe, key=lambda v: (probe[v], v))
@@ -463,7 +549,6 @@ class TreeEncodings:
         instance.d2 = instance._distances_from(e2)
         instance.diam = d1[e2]
         instance.centers = centers
-        instance.key = instance._key_for(centers)
         return instance
 
     # ------------------------------------------------------------------ #
@@ -477,53 +562,20 @@ class TreeEncodings:
         edge_label: Optional[Label] = None,
     ) -> "TreeEncodings":
         """Encodings of the tree with leaf ``new_vertex`` hung off ``attach``."""
-        if attach not in self.parent:
-            raise ValueError(f"attachment vertex {attach!r} is not in the tree")
-        if new_vertex in self.parent:
-            raise ValueError(f"vertex {new_vertex!r} is already in the tree")
-        parent = dict(self.parent)
-        children = dict(self.children)
-        enc = dict(self.enc)
-        parent[new_vertex] = attach
-        children[new_vertex] = []
-        children[attach] = children[attach] + [new_vertex]
-        enc[new_vertex] = (
-            _label_key(vertex_label),
-            "" if edge_label is None else _label_key(edge_label),
-            (),
-        )
-        # Only the attach→root path's sorted-children tuples can change, and
-        # at each path vertex exactly one child encoding did: splice it in
-        # by bisect (O(log k) deep-tuple comparisons) instead of re-sorting
-        # the whole child list (O(k log k) plus a per-child dict lookup).
-        leaf_enc = enc[new_vertex]
-        stored = enc[attach]
-        kids = stored[2]
-        position = bisect_left(kids, leaf_enc)
-        old_child = stored
-        enc[attach] = (
-            stored[0],
-            stored[1],
-            kids[:position] + (leaf_enc,) + kids[position:],
-        )
-        previous_vertex = attach
-        vertex: Optional[VertexId] = parent[attach]
-        while vertex is not None:
-            stored = enc[vertex]
-            kids = stored[2]
-            removed = bisect_left(kids, old_child)
-            trimmed = kids[:removed] + kids[removed + 1 :]
-            new_child = enc[previous_vertex]
-            position = bisect_left(trimmed, new_child)
-            old_child = stored
-            enc[vertex] = (
-                stored[0],
-                stored[1],
-                trimmed[:position] + (new_child,) + trimmed[position:],
-            )
-            previous_vertex = vertex
-            vertex = parent[vertex]
-        extended = TreeEncodings(self.root, parent, children, enc, ())
+        path, centers, key = self._grown(attach, new_vertex, vertex_label, edge_label)
+        parent, children, enc = _graft(self, attach, new_vertex, path)
+        root = self.root
+        if centers[0] != root:
+            # The one new centre is the root's child toward the leaf.
+            centre = centers[0]
+            enc[root], enc[centre] = _reroot_step(enc[root], enc[centre])
+            children[root] = [child for child in children[root] if child != centre]
+            children[centre] = children[centre] + [root]
+            parent[root] = centre
+            parent[centre] = None
+            root = centre
+        extended = TreeEncodings(root, parent, children, enc, key)
+        extended.centers = centers
         d1 = dict(self.d1)
         d2 = dict(self.d2)
         to_e1 = d1[attach] + 1
@@ -536,8 +588,7 @@ class TreeEncodings:
         if to_e1 > self.diam or to_e2 > self.diam:
             # The leaf lengthened the diameter: its farthest vertex is one of
             # the old endpoints, so (old endpoint, leaf) is a new diameter
-            # pair; re-BFS the replaced endpoint's map (rare under
-            # constraint-preserving growth, which keeps D(P) fixed).
+            # pair; re-BFS the replaced endpoint's map.
             if to_e1 >= to_e2:
                 extended.e2 = new_vertex
                 extended.diam = to_e1
@@ -546,12 +597,6 @@ class TreeEncodings:
                 extended.e1 = new_vertex
                 extended.diam = to_e2
                 extended.d1 = extended._distances_from(new_vertex)
-                extended.d2 = d2
-        centers = extended._centers()
-        if extended.root not in centers:
-            extended._reroot_to(centers[0])
-        extended.centers = centers
-        extended.key = extended._key_for(centers)
         return extended
 
     def extended_key(
@@ -561,106 +606,52 @@ class TreeEncodings:
         vertex_label: Optional[Label],
         edge_label: Optional[Label] = None,
     ) -> Tuple:
-        """The canonical key :meth:`extend` would produce — without building it.
+        """The canonical key :meth:`extend` would produce, without building the child.
 
         The duplicate-registry peek in the growth loop only needs the child
         tree's *key*: when the key is already registered the full
         :class:`TreeEncodings` (five dict copies per call) is never used.
-        This method derives the key alone, overlaying the re-encoded
-        attach→root path on the parent's (unmutated) encodings.  Two facts
-        keep it cheap: a new leaf can never be a centre (its two endpoint
-        distances sum to at least ``diam + 2``), so while the diameter is
-        unchanged the centres — and the root — are exactly the parent's; and
-        only the path encodings feed :meth:`_key_for`.  The rare extension
-        that lengthens the diameter falls back to a full :meth:`extend`.
+        The key needs only the spliced path and the child's centres, which
+        :meth:`_grown` reads off the parent, also when the leaf lengthens
+        the diameter.
         """
-        if attach not in self.parent:
-            raise ValueError(f"attachment vertex {attach!r} is not in the tree")
-        if new_vertex in self.parent:
-            raise ValueError(f"vertex {new_vertex!r} is already in the tree")
-        if self.d1[attach] + 1 > self.diam or self.d2[attach] + 1 > self.diam:
-            return self.extend(attach, new_vertex, vertex_label, edge_label).key
-
-        enc = self.enc
-        children = self.children
-        parent = self.parent
-        overlay: Dict[VertexId, Tuple] = {
-            new_vertex: (
-                _label_key(vertex_label),
-                "" if edge_label is None else _label_key(edge_label),
-                (),
-            )
-        }
-        # At each path vertex exactly one child encoding changed: splice it
-        # into the stored (already sorted) children tuple by bisect instead
-        # of re-sorting the whole child list with per-child overlay lookups.
-        # Encodings are non-empty 3-tuples (always truthy), so the remaining
-        # overlay lookups below can use `get(...) or enc[...]` — one C-level
-        # dict probe instead of a Python-level conditional helper call.
-        get = overlay.get
-        leaf_enc = overlay[new_vertex]
-        stored = enc[attach]
-        kids = stored[2]
-        position = bisect_left(kids, leaf_enc)
-        overlay[attach] = (
-            stored[0],
-            stored[1],
-            kids[:position] + (leaf_enc,) + kids[position:],
-        )
-        previous_vertex = attach
-        vertex: Optional[VertexId] = parent[attach]
-        while vertex is not None:
-            stored = enc[vertex]
-            kids = stored[2]
-            old_child = enc[previous_vertex]
-            removed = bisect_left(kids, old_child)
-            trimmed = kids[:removed] + kids[removed + 1 :]
-            new_child = overlay[previous_vertex]
-            position = bisect_left(trimmed, new_child)
-            overlay[vertex] = (
-                stored[0],
-                stored[1],
-                trimmed[:position] + (new_child,) + trimmed[position:],
-            )
-            previous_vertex = vertex
-            vertex = parent[vertex]
-
-        root = self.root
-        centers = self.centers
-        best = overlay[root]
-        if len(centers) == 2:
-            other = centers[0] if centers[1] == root else centers[1]
-            other_enc = get(other) or enc[other]
-            root_kids = children[root]
-            if root == attach:
-                root_kids = root_kids + [new_vertex]
-            root_as_child = (
-                best[0],
-                other_enc[1],
-                tuple(
-                    sorted([get(c) or enc[c] for c in root_kids if c != other])
-                ),
-            )
-            other_kids = children[other]
-            if other == attach:
-                other_kids = other_kids + [new_vertex]
-            rerooted = (
-                other_enc[0],
-                "",
-                tuple(
-                    sorted(
-                        [get(c) or enc[c] for c in other_kids if c != root]
-                        + [root_as_child]
-                    )
-                ),
-            )
-            if rerooted < best:
-                best = rerooted
-        return ("t", best)
+        return self._grown(attach, new_vertex, vertex_label, edge_label)[2]
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _grown(
+        self,
+        attach: VertexId,
+        new_vertex: VertexId,
+        vertex_label: Optional[Label],
+        edge_label: Optional[Label],
+    ) -> Tuple[Dict[VertexId, Tuple], List[VertexId], Tuple]:
+        """The child's spliced path, its centres and its key.
+
+        The centres come root first, unless the root stops being one; a
+        second centre is the root's child.
+        """
+        path = _splice(self.enc, self.parent, attach, new_vertex, vertex_label, edge_label)
+        root = self.root
+        centers = self.centers
+        if max(self.d1[attach], self.d2[attach]) == self.diam:
+            # The leaf lengthens the diameter by one, which moves the centre
+            # half an edge toward it.
+            if len(centers) == 1:
+                centers = [root, list(path)[-2]]
+            elif centers[1] in path:
+                centers = centers[1:]
+            else:
+                centers = centers[:1]
+        child = centers[-1]
+        key = _centre_key(
+            path[root],
+            None if child == root else path.get(child) or self.enc[child],
+            centers[0] == root,
+        )
+        return path, centers, key
+
     def _neighbors(self, vertex: VertexId) -> List[VertexId]:
         up = self.parent[vertex]
         kids = self.children[vertex]
@@ -680,92 +671,6 @@ class TreeEncodings:
             frontier = next_frontier
         return distances
 
-    def _centers(self) -> List[VertexId]:
-        """The 1 or 2 centres: middle vertices of the ``e1``–``e2`` path.
-
-        A vertex lies on that diameter path iff ``d1[v] + d2[v] == diam``;
-        the centres are the on-path vertices whose larger endpoint distance
-        is ``⌈diam/2⌉`` — one vertex for even diameters, two adjacent ones
-        for odd.  Tree centres are unique, so the scan stops once the
-        expected count is found.
-        """
-        diam = self.diam
-        if diam == 0:
-            return [self.root]
-        half = (diam + 1) // 2
-        wanted = 1 if diam % 2 == 0 else 2
-        centers: List[VertexId] = []
-        d2 = self.d2
-        for vertex, near in self.d1.items():
-            far = d2[vertex]
-            if near + far == diam and near <= half and far <= half:
-                centers.append(vertex)
-                if len(centers) == wanted:
-                    break
-        return sorted(centers)
-
-    def _reroot_to(self, target: VertexId) -> None:
-        """Re-root stepwise along the ancestor path of ``target`` (in place).
-
-        Each step exchanges the root with one of its children: only those two
-        encodings change, everything else stays valid under the new rooting.
-        """
-        path: List[VertexId] = []
-        vertex: Optional[VertexId] = target
-        while vertex is not None and vertex != self.root:
-            path.append(vertex)
-            vertex = self.parent[vertex]
-        if vertex is None:  # pragma: no cover - structure is always a tree
-            raise ValueError(f"vertex {target!r} is not in the tree")
-        for step in reversed(path):
-            root = self.root
-            self.children[root] = [c for c in self.children[root] if c != step]
-            self.children[step] = self.children[step] + [root]
-            self.parent[root] = step
-            self.parent[step] = None
-            root_label, _, _ = self.enc[root]
-            step_label, step_edge, _ = self.enc[step]
-            self.enc[root] = (
-                root_label,
-                step_edge,  # the (root, step) edge label, read from the old child
-                tuple(sorted(self.enc[c] for c in self.children[root])),
-            )
-            self.enc[step] = (
-                step_label,
-                "",
-                tuple(sorted(self.enc[c] for c in self.children[step])),
-            )
-            self.root = step
-
-    def _key_for(self, centers: List[VertexId]) -> Tuple:
-        """The canonical key, given that ``self.root`` is one of ``centers``.
-
-        For bicentral trees the second centre is adjacent to the root, so its
-        rooted encoding is derived by a *view* of the one-step re-root (no
-        mutation): the root becomes a child of the other centre and only
-        those two encodings differ.
-        """
-        if len(self.parent) == 1:
-            return ("t", self.enc[self.root][0])
-        root = self.root
-        enc = self.enc
-        best = enc[root]
-        if len(centers) == 2:
-            other = centers[0] if centers[1] == root else centers[1]
-            root_as_child = (
-                enc[root][0],
-                enc[other][1],
-                tuple(sorted(enc[c] for c in self.children[root] if c != other)),
-            )
-            rerooted = (
-                enc[other][0],
-                "",
-                tuple(sorted([enc[c] for c in self.children[other]] + [root_as_child])),
-            )
-            if rerooted < best:
-                best = rerooted
-        return ("t", best)
-
 
 class UnicyclicEncodings:
     """Rooted hanging-tree encodings of a unicyclic graph, pendant-extensible.
@@ -775,15 +680,17 @@ class UnicyclicEncodings:
     unicyclic pattern's descendants differ by one pendant leaf at a time —
     the cycle itself is fixed for the whole derivation chain (closing a
     second cycle changes the shape tier) — so only one hanging tree's
-    encodings along the attach→anchor path can change.  This class carries
-    the per-vertex rooted structure of *all* hanging trees (anchored at
-    their cycle vertices, roots pinned — no centre bookkeeping needed) and
-    derives each one-leaf extension's canonical :attr:`key`, equal to the
-    batch key, in O(depth + cycle length) instead of a full re-encode.
+    encodings along the path from the leaf to its cycle vertex (the
+    *anchor*) can change.  This class carries the per-vertex rooted
+    structure of *all* hanging trees (anchored at their cycle vertices,
+    roots pinned — no centre bookkeeping needed) and derives each one-leaf
+    extension's canonical :attr:`key`, equal to the batch key, in
+    O(depth + cycle length) from :func:`_splice`, as :class:`TreeEncodings`
+    does.
 
     Instances are immutable from the caller's perspective: :meth:`extend`
-    returns a new object; :meth:`extended_key` derives the child's key alone
-    by overlaying the re-encoded path, for the duplicate-registry peek.
+    returns a new object; :meth:`extended_key` derives the child's key alone,
+    for the duplicate-registry peek.
     """
 
     __slots__ = ("cycle", "edges", "pos_of", "parent", "children", "enc", "trees", "key")
@@ -871,56 +778,8 @@ class UnicyclicEncodings:
         edge_label: Optional[Label] = None,
     ) -> "UnicyclicEncodings":
         """Encodings of the graph with leaf ``new_vertex`` hung off ``attach``."""
-        if attach not in self.parent:
-            raise ValueError(f"attachment vertex {attach!r} is not in the graph")
-        if new_vertex in self.parent:
-            raise ValueError(f"vertex {new_vertex!r} is already in the graph")
-        parent = dict(self.parent)
-        children = dict(self.children)
-        enc = dict(self.enc)
-        parent[new_vertex] = attach
-        children[new_vertex] = []
-        children[attach] = children[attach] + [new_vertex]
-        enc[new_vertex] = (
-            _label_key(vertex_label),
-            "" if edge_label is None else _label_key(edge_label),
-            (),
-        )
-        # Only the attach→anchor path of one hanging tree can change, and at
-        # each path vertex exactly one child encoding did: splice it in by
-        # bisect instead of re-sorting the whole child list (see
-        # :meth:`TreeEncodings.extend`).
-        leaf_enc = enc[new_vertex]
-        stored = enc[attach]
-        kids = stored[2]
-        position = bisect_left(kids, leaf_enc)
-        old_child = stored
-        enc[attach] = (
-            stored[0],
-            stored[1],
-            kids[:position] + (leaf_enc,) + kids[position:],
-        )
-        anchor = attach
-        previous_vertex = attach
-        vertex: Optional[VertexId] = parent[attach]
-        while vertex is not None:
-            stored = enc[vertex]
-            kids = stored[2]
-            removed = bisect_left(kids, old_child)
-            trimmed = kids[:removed] + kids[removed + 1 :]
-            new_child = enc[previous_vertex]
-            position = bisect_left(trimmed, new_child)
-            old_child = stored
-            enc[vertex] = (
-                stored[0],
-                stored[1],
-                trimmed[:position] + (new_child,) + trimmed[position:],
-            )
-            anchor = vertex
-            previous_vertex = vertex
-            vertex = parent[vertex]
-        trees = list(self.trees)
-        trees[self.pos_of[anchor]] = enc[anchor]
+        path, trees = self._grown(attach, new_vertex, vertex_label, edge_label)
+        parent, children, enc = _graft(self, attach, new_vertex, path)
         return UnicyclicEncodings(
             self.cycle,
             self.edges,
@@ -939,58 +798,24 @@ class UnicyclicEncodings:
         vertex_label: Optional[Label],
         edge_label: Optional[Label] = None,
     ) -> Tuple:
-        """The canonical key :meth:`extend` would produce — without building it.
-
-        Overlays the re-encoded attach→anchor path on the parent's
-        (unmutated) encodings, exactly like
-        :meth:`TreeEncodings.extended_key`; since hanging-tree roots are
-        pinned to their cycle vertices there is no centre or re-rooting case
-        at all.
-        """
-        if attach not in self.parent:
-            raise ValueError(f"attachment vertex {attach!r} is not in the graph")
-        if new_vertex in self.parent:
-            raise ValueError(f"vertex {new_vertex!r} is already in the graph")
-        enc = self.enc
-        parent = self.parent
-        overlay: Dict[VertexId, Tuple] = {
-            new_vertex: (
-                _label_key(vertex_label),
-                "" if edge_label is None else _label_key(edge_label),
-                (),
-            )
-        }
-        leaf_enc = overlay[new_vertex]
-        stored = enc[attach]
-        kids = stored[2]
-        position = bisect_left(kids, leaf_enc)
-        overlay[attach] = (
-            stored[0],
-            stored[1],
-            kids[:position] + (leaf_enc,) + kids[position:],
+        """The canonical key :meth:`extend` would produce, without building the child."""
+        return _cycle_rotation_key(
+            self._grown(attach, new_vertex, vertex_label, edge_label)[1], self.edges
         )
-        anchor = attach
-        previous_vertex = attach
-        vertex: Optional[VertexId] = parent[attach]
-        while vertex is not None:
-            stored = enc[vertex]
-            kids = stored[2]
-            old_child = enc[previous_vertex]
-            removed = bisect_left(kids, old_child)
-            trimmed = kids[:removed] + kids[removed + 1 :]
-            new_child = overlay[previous_vertex]
-            position = bisect_left(trimmed, new_child)
-            overlay[vertex] = (
-                stored[0],
-                stored[1],
-                trimmed[:position] + (new_child,) + trimmed[position:],
-            )
-            anchor = vertex
-            previous_vertex = vertex
-            vertex = parent[vertex]
+
+    def _grown(
+        self,
+        attach: VertexId,
+        new_vertex: VertexId,
+        vertex_label: Optional[Label],
+        edge_label: Optional[Label],
+    ) -> Tuple[Dict[VertexId, Tuple], List[Tuple]]:
+        """The child's spliced path and its hanging-tree encodings, by cycle position."""
+        path = _splice(self.enc, self.parent, attach, new_vertex, vertex_label, edge_label)
+        anchor = next(reversed(path))
         trees = list(self.trees)
-        trees[self.pos_of[anchor]] = overlay[anchor]
-        return _cycle_rotation_key(trees, self.edges)
+        trees[self.pos_of[anchor]] = path[anchor]
+        return path, trees
 
 
 def _rooted_tree_encoding(tree: LabeledGraph, root: VertexId) -> Tuple:

@@ -331,12 +331,19 @@ class SqlitePatternStore(PatternStore):
                 ),
             )
             entry_id = cursor.lastrowid
-            for position, meta, body in rows:
-                cursor = connection.execute(
-                    "INSERT INTO patterns (entry_id, position, kind, support, size, "
-                    "num_vertices, diameter_len, diameter_labels, labels, body) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            # Explicit pattern ids, so the rows and their labels go in with
+            # one executemany each: the write lock is held, so no other
+            # writer can take these ids.
+            (first,) = connection.execute(
+                "SELECT COALESCE(MAX(pattern_id), 0) + 1 FROM patterns"
+            ).fetchone()
+            connection.executemany(
+                "INSERT INTO patterns (pattern_id, entry_id, position, kind, support, "
+                "size, num_vertices, diameter_len, diameter_labels, labels, body) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                [
                     (
+                        first + position,
                         entry_id,
                         position,
                         meta["kind"],
@@ -351,13 +358,18 @@ class SqlitePatternStore(PatternStore):
                         ),
                         json.dumps(list(meta["labels"])),
                         body,
-                    ),
-                )
-                pattern_id = cursor.lastrowid
-                connection.executemany(
-                    "INSERT INTO pattern_labels (pattern_id, label) VALUES (?, ?)",
-                    [(pattern_id, label) for label in meta["labels"]],
-                )
+                    )
+                    for position, meta, body in rows
+                ],
+            )
+            connection.executemany(
+                "INSERT INTO pattern_labels (pattern_id, label) VALUES (?, ?)",
+                [
+                    (first + position, label)
+                    for position, meta, _ in rows
+                    for label in meta["labels"]
+                ],
+            )
             connection.execute("COMMIT")
         except BaseException:
             connection.execute("ROLLBACK")

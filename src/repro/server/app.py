@@ -79,12 +79,6 @@ class MiningServer:
         ``None`` means no default deadline.
     cache_size / cache_ttl_seconds:
         The TTL'd result cache bounds.
-    stage1_processes:
-        When positive, cold Stage-1 mining is offloaded to that many
-        subprocesses (see :class:`~repro.server.workers.Stage1ProcessPool`).
-    engine_options:
-        Extra keyword arguments for every generation's
-        :class:`MiningEngine` (caps, ``stage1_mode``, ...).
     tracer / metrics:
         Event-loop-side telemetry sinks; both default to private no-op /
         fresh instances so a server never contends with other components.
@@ -102,21 +96,18 @@ class MiningServer:
         default_budget_ms: Optional[int] = None,
         cache_size: int = 1024,
         cache_ttl_seconds: float = 30.0,
-        stage1_processes: int = 0,
-        engine_options: Optional[Dict[str, object]] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._host = host
         self._requested_port = port
         self._default_budget_ms = default_budget_ms
-        self._engine_options = dict(engine_options or {})
         self._descriptor_cache = DiameterDescriptorCache()
         self._maintenance_metrics = MetricsRegistry()
         self._snapshots = SnapshotManager(
             graphs, store if store is not None else MemoryPatternStore(), self._make_engine
         )
-        self._pool = WorkerPool(workers, stage1_processes=stage1_processes)
+        self._pool = WorkerPool(workers)
         self._admission = AdmissionController(
             max_queue=max_queue, max_inflight=workers, per_constraint=per_constraint
         )
@@ -137,7 +128,6 @@ class MiningServer:
             store=store,
             descriptor_cache=self._descriptor_cache,
             metrics=self._maintenance_metrics,
-            **self._engine_options,
         )
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""The service's execution layer: engine-per-thread workers + Stage-1 processes.
+"""The service's execution layer: engine-per-thread workers.
 
 Each worker thread owns private forks of the snapshot engines (result and
 context caches, stats log and metrics registry are per-thread; the graphs,
@@ -6,13 +6,6 @@ store view and descriptor cache are shared read-only), so no engine state
 is ever touched from two threads.  A task carries the :class:`Snapshot` it
 was admitted against — workers serve it from exactly that generation even
 if a newer one has been published since.
-
-Cold Stage-1 work (a query whose minimal-pattern entry is in no store
-layer) can optionally be offloaded to a per-generation
-``ProcessPoolExecutor`` running the existing
-:mod:`repro.api.workers` entry points, keeping the GIL-bound worker
-threads responsive for warm traffic; the mined entry lands in the
-snapshot's store view, after which the thread serves the query warm.
 
 Deadline semantics: a task whose budget elapsed while queued is answered
 with ``deadline_exceeded`` without running; a task abandoned mid-run (the
@@ -25,15 +18,12 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.api.engine import MiningEngine
 from repro.api.errors import QueryError, error_code
 from repro.api.query import Query, Result, ResultError
-from repro.index.store import IndexEntry
 from repro.obs.metrics import MetricsRegistry
 from repro.server.protocol import DEADLINE_EXCEEDED, INTERNAL_ERROR
 from repro.server.snapshots import Snapshot
@@ -87,53 +77,16 @@ class Outcome:
         return self.error is None
 
 
-class Stage1ProcessPool:
-    """Per-generation process pool for cold Stage-1 mining (optional)."""
-
-    def __init__(self, processes: int) -> None:
-        self._processes = processes
-        self._lock = threading.Lock()
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._generation: Optional[int] = None
-
-    def executor_for(self, snapshot: Snapshot, caps: Dict[str, object]):
-        """The executor initialised with this generation's graphs."""
-        from repro.api.workers import init_worker
-
-        with self._lock:
-            if self._generation != snapshot.generation:
-                previous = self._executor
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self._processes,
-                    initializer=init_worker,
-                    initargs=(snapshot.graphs, caps),
-                )
-                self._generation = snapshot.generation
-                if previous is not None:
-                    previous.shutdown(wait=False)
-            return self._executor
-
-    def shutdown(self) -> None:
-        with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-                self._executor = None
-                self._generation = None
-
-
 class WorkerPool:
     """Fixed thread pool executing :class:`WorkerTask` s against snapshots."""
 
-    def __init__(self, size: int = 4, stage1_processes: int = 0) -> None:
+    def __init__(self, size: int = 4) -> None:
         if size < 1:
             raise ValueError("worker pool size must be at least 1")
         self.size = size
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._threads: List[threading.Thread] = []
         self._registries: List[MetricsRegistry] = []
-        self._stage1_pool = (
-            Stage1ProcessPool(stage1_processes) if stage1_processes > 0 else None
-        )
         self.abandoned_total = 0
 
     # ------------------------------------------------------------------ #
@@ -158,8 +111,6 @@ class WorkerPool:
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
-        if self._stage1_pool is not None:
-            self._stage1_pool.shutdown()
 
     def submit(self, task: WorkerTask) -> None:
         self._queue.put(task)
@@ -225,13 +176,7 @@ class WorkerPool:
                 )
             )
         try:
-            engine = self._engine_for(task, registry, engines)
-            self._offload_cold_stage_one(task, engine)
-            result = engine.run(task.query)
-        except FutureTimeoutError:
-            return errored(
-                ResultError(DEADLINE_EXCEEDED, "budget exhausted during Stage-1 mining")
-            )
+            result = self._engine_for(task, registry, engines).run(task.query)
         except QueryError as error:
             return errored(ResultError(error_code(error), str(error)))
         except Exception as error:  # noqa: BLE001 - a worker must never die
@@ -244,35 +189,6 @@ class WorkerPool:
             queue_seconds=queue_seconds,
             exec_seconds=time.monotonic() - picked_up,
             generation=generation,
-        )
-
-    def _offload_cold_stage_one(self, task: WorkerTask, engine: MiningEngine) -> None:
-        """Mine a missing Stage-1 entry in the process pool, if configured."""
-        if self._stage1_pool is None:
-            return
-        key = engine.stage_one_key(task.query)
-        if key in engine.store:
-            return
-        executor = self._stage1_pool.executor_for(task.snapshot, engine.caps)
-        from repro.api.workers import mine_stage_one
-
-        query = task.query
-        pending = executor.submit(
-            mine_stage_one,
-            (
-                0,
-                query.constraint_id,
-                dict(query.params),
-                query.min_support,
-                query.support_measure,
-            ),
-        )
-        timeout = None
-        if task.deadline is not None:
-            timeout = max(0.0, task.deadline - time.monotonic())
-        _, patterns, seconds = pending.result(timeout=timeout)
-        engine.store.put(
-            IndexEntry(key=key, patterns=list(patterns), build_seconds=seconds)
         )
 
     def _resolve(self, task: WorkerTask, outcome: Outcome) -> None:

@@ -29,7 +29,7 @@ from repro.core.database import MiningContext, SupportMeasure
 from repro.core.diameter import canonical_diameter
 from repro.core.framework import BoundedDiameterDriver
 from repro.core.patterns import SkinnyPattern
-from repro.graph.canonical import canonical_key
+from repro.graph.canonical import TreeEncodings, canonical_key
 from repro.graph.embeddings import EmbeddingTable
 from repro.graph.generators import (
     erdos_renyi_graph,
@@ -283,22 +283,26 @@ def test_random_inputs_match_the_reference(case):
 # work pins on the demo graph's k=2 σ=3 query
 # --------------------------------------------------------------------- #
 def counted_run(monkeypatch, data, diam_query):
-    """Run the query, counting embedding joins and keys by candidate shape."""
-    counts = {"joins": 0, "tree keys": 0, "cyclic keys": 0}
-    extended = EmbeddingTable.extended
+    """Run the query, counting joins, keys by candidate shape and tree encodings built."""
+    counts = {"joins": 0, "tree keys": 0, "cyclic keys": 0, "extend": 0, "extended_key": 0}
     batch_key = framework.canonical_key
 
-    def counting_extended(table, *args):
-        counts["joins"] += 1
-        return extended(table, *args)
+    def counting(name, method):
+        def counted(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return counted
 
     def counting_key(graph):
         tree = graph.num_edges() == graph.num_vertices() - 1
         counts["tree keys" if tree else "cyclic keys"] += 1
         return batch_key(graph)
 
-    monkeypatch.setattr(EmbeddingTable, "extended", counting_extended)
+    monkeypatch.setattr(EmbeddingTable, "extended", counting("joins", EmbeddingTable.extended))
     monkeypatch.setattr(framework, "canonical_key", counting_key)
+    for name in ("extend", "extended_key"):
+        monkeypatch.setattr(TreeEncodings, name, counting(name, getattr(TreeEncodings, name)))
     result = MiningEngine(data).run(diam_query)
     return result, counts
 
@@ -312,6 +316,11 @@ def test_demo_query_joins_each_new_extension_once(monkeypatch):
     # before its key (the budget and the 2K margin) takes it to 183.
     assert counts["joins"] == 183
     assert counts["tree keys"] == 0
+    # Every tree pendant is keyed by extended_key, also one that lengthens
+    # the diameter, and only a frequent child pushed to the frontier gets
+    # its encodings.
+    assert (counts["extend"], counts["extended_key"]) == (35, 243)
+    assert counts["extended_key"] == result.stats.level_statistics["canonical_incremental_hits"]
 
 
 def test_cyclic_candidates_are_keyed_through_the_module_attribute(monkeypatch):

@@ -191,32 +191,57 @@ class TestBoundedDiameterMatrix:
     @pytest.mark.parametrize("seed", SINGLE_GRAPH_SEEDS)
     @pytest.mark.parametrize("measure", SINGLE_MEASURES)
     def test_single_graph(self, seed, measure):
-        graph = single_graph(seed)
-        mined = mine_bounded_diameter(graph, 2, 2, measure)
-        oracle = bounded_diameter_oracle(graph, 2, 2, measure)
-        mined_map = keyed(mined)
-        oracle_map = {
-            canonical_key(pattern.compact()[0]): support
-            for pattern, support in oracle
-        }
-        assert set(mined_map) <= set(oracle_map)
-        for key, support in mined_map.items():
-            assert oracle_map[key] == support
-        if measure.anti_monotone:
-            assert set(mined_map) == set(oracle_map)
+        assert_diam_le_matches_oracle(single_graph(seed), measure)
 
     @pytest.mark.parametrize("seed", TRANSACTION_SEEDS[:2])
     def test_transaction_database(self, seed):
-        database = transaction_db(seed)
-        measure = SupportMeasure.TRANSACTIONS
-        mined = mine_bounded_diameter(database, 2, 2, measure)
-        oracle = bounded_diameter_oracle(database, 2, 2, measure)
-        mined_map = keyed(mined)
-        oracle_map = {
-            canonical_key(pattern.compact()[0]): support
-            for pattern, support in oracle
-        }
-        assert mined_map == oracle_map
+        assert_diam_le_matches_oracle(transaction_db(seed), SupportMeasure.TRANSACTIONS)
+
+    # Edge labels from {x, y}, on every edge or on about half of them, so
+    # unlabelled edges meet labelled ones of the same vertex labels.  The
+    # graphs are denser, over two vertex labels, so that every row still
+    # has frequent patterns once edge labels split them.
+    @pytest.mark.parametrize("share", (1.0, 0.5), ids=("every-edge", "some-edges"))
+    @pytest.mark.parametrize("seed", SINGLE_GRAPH_SEEDS)
+    @pytest.mark.parametrize("measure", SINGLE_MEASURES)
+    def test_edge_labelled_single_graph(self, seed, measure, share):
+        graph = with_edge_labels(erdos_renyi_graph(12, 1.8, 2, seed=seed), seed, share)
+        assert_diam_le_matches_oracle(graph, measure)
+
+    @pytest.mark.parametrize("share", (1.0, 0.5), ids=("every-edge", "some-edges"))
+    @pytest.mark.parametrize("seed", TRANSACTION_SEEDS[:2])
+    @pytest.mark.parametrize("measure", TRANSACTION_MEASURES)
+    def test_edge_labelled_transaction_database(self, seed, measure, share):
+        database = [
+            with_edge_labels(graph, seed * 10 + index, share)
+            for index, graph in enumerate(random_transaction_database(3, 12, 1.8, 2, seed=seed))
+        ]
+        assert_diam_le_matches_oracle(database, measure)
+
+
+def with_edge_labels(graph, seed, share):
+    """A copy of ``graph`` whose edges carry x or y, each with probability ``share``."""
+    rng = random.Random(seed)
+    labelled = LabeledGraph(name=graph.name)
+    for vertex in graph.vertices():
+        labelled.add_vertex(vertex, graph.label_of(vertex))
+    for edge in sorted(graph.edges(), key=lambda edge: (edge.u, edge.v)):
+        labelled.add_edge(edge.u, edge.v, rng.choice("xy") if rng.random() < share else None)
+    return labelled
+
+
+def assert_diam_le_matches_oracle(graphs, measure):
+    mined = keyed(mine_bounded_diameter(graphs, 2, 2, measure))
+    oracle = {
+        canonical_key(pattern.compact()[0]): support
+        for pattern, support in bounded_diameter_oracle(graphs, 2, 2, measure)
+    }
+    assert oracle, "the input has no frequent pattern to compare"
+    assert set(mined) <= set(oracle)
+    for key, support in mined.items():
+        assert oracle[key] == support
+    if measure.anti_monotone:
+        assert set(mined) == set(oracle)
 
 
 # --------------------------------------------------------------------- #

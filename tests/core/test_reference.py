@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.database import MiningContext
+from repro.core.database import MiningContext, SupportMeasure
 from repro.core.diameter import is_l_long_delta_skinny
 from repro.core.reference import (
     enumerate_and_check_spm,
     enumerate_frequent_connected_subgraphs,
 )
-from repro.graph.labeled_graph import graph_from_paths
+from repro.graph.labeled_graph import LabeledGraph, graph_from_paths
 
 
 class TestEnumeration:
@@ -40,6 +40,21 @@ class TestEnumeration:
         context = MiningContext(graph, 2)
         capped = enumerate_frequent_connected_subgraphs(context, max_edges=4, max_patterns=2)
         assert len(capped) == 2
+
+    @pytest.mark.parametrize("measure", [SupportMeasure.MNI, SupportMeasure.EMBEDDINGS])
+    def test_an_unlabelled_edge_does_not_match_a_labelled_one(self, measure):
+        # An a-b edge labelled x beside an unlabelled a-b edge: each pattern
+        # occurs once, under MNI too (VF2 alone maps the unlabelled one twice).
+        graph = LabeledGraph()
+        for vertex, label in enumerate("abab"):
+            graph.add_vertex(vertex, label)
+        graph.add_edge(0, 1, "x")
+        graph.add_edge(2, 3)
+        frequent = enumerate_frequent_connected_subgraphs(
+            MiningContext(graph, 1, measure), max_edges=1
+        )
+        supports = {next(iter(p.edges())).label: support for p, _, support in frequent}
+        assert supports == {"x": 1, None: 1}
 
 
 class TestEnumerateAndCheck:

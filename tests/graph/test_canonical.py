@@ -209,11 +209,32 @@ class TestIncrementalTreeKey:
             if encodings is None:
                 # Chain start: batch-build the 2-vertex tree's encodings.
                 encodings = TreeEncodings.from_tree(graph)
-            else:
-                encodings = encodings.extend(
-                    attach, new_vertex, vertex_label, edge_label
-                )
-            assert encodings.key == tree_canonical_key(graph)
+                assert encodings.key == tree_canonical_key(graph)
+                continue
+            # The random attachments often lengthen the diameter, which
+            # moves the centre: the peek must follow it without extending.
+            peeked = encodings.extended_key(attach, new_vertex, vertex_label, edge_label)
+            encodings = encodings.extend(attach, new_vertex, vertex_label, edge_label)
+            assert peeked == encodings.key == tree_canonical_key(graph)
+
+    def test_extended_key_never_builds_the_child(self, monkeypatch):
+        steps = [
+            (graph.copy(), *op)
+            for graph, *op in _random_pendant_chain(random.Random(3), 12, 2, edge_labels=True)
+        ]
+        built = [TreeEncodings.from_tree(steps[0][0])]
+        for _, *op in steps[1:]:
+            built.append(built[-1].extend(*op))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extended_key built the child")
+
+        monkeypatch.setattr(TreeEncodings, "extend", refuse)
+        lengthened = 0
+        for parent, (graph, *op) in zip(built, steps[1:]):
+            assert parent.extended_key(*op) == tree_canonical_key(graph)
+            lengthened += max(parent.d1[op[0]], parent.d2[op[0]]) == parent.diam
+        assert lengthened > 0
 
     def test_extend_does_not_mutate_parent(self):
         graph = build_graph({0: "a", 1: "b"}, [(0, 1)])

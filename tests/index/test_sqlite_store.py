@@ -190,6 +190,38 @@ class TestCrudRoundtrip:
         assert counts == (2, 4)
         store.close()
 
+    def test_put_statement_count_does_not_grow_with_the_entry(self, tmp_path, monkeypatch):
+        # The rows and their labels go in with one executemany each, so a
+        # 400-pattern put issues as many statements as a 1-pattern one.
+        store = SqlitePatternStore(tmp_path)
+        connection = store._connection()
+        calls = []
+
+        class Counting:
+            def execute(self, *args):
+                calls.append("execute")
+                return connection.execute(*args)
+
+            def executemany(self, *args):
+                calls.append("executemany")
+                return connection.executemany(*args)
+
+        monkeypatch.setattr(store, "_connection", Counting)
+        counts = {}
+        for size in (1, 400):
+            calls.clear()
+            patterns = [path_pattern(("a", f"l{index % 7}", "b"), index) for index in range(size)]
+            store.put(IndexEntry(key=KEY_A, patterns=patterns))
+            counts[size] = len(calls)
+        assert counts[1] == counts[400]
+        monkeypatch.undo()
+        assert [p.support for p in store.get(KEY_A).patterns] == list(range(400))
+        store.close()
+        reopened = SqlitePatternStore(tmp_path)
+        assert [p.support for p in reopened.get(KEY_A).patterns] == list(range(400))
+        assert reopened.query(labels_contain="l3", order_by="support")[0].support == 3
+        reopened.close()
+
     def test_info_reads_columns_only(self, tmp_path):
         store = SqlitePatternStore(tmp_path)
         fill(store)

@@ -149,6 +149,14 @@ class TestIndexCommands:
             assert exit_info.value.code == 2, argv
             assert "unrecognized arguments: --backend sqlite" in capsys.readouterr().err
 
+    def test_serve_takes_no_stage1_processes(self, capsys):
+        # 7.0 serves cold Stage-1 work on the worker threads: the process
+        # offload and its flag are gone.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--data", "demo", "--stage1-processes", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --stage1-processes 2" in capsys.readouterr().err
+
 
 class TestIndexQueryAndBackends:
     def _build(self, lg_file, store):

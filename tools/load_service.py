@@ -89,8 +89,6 @@ def spawn_server(args: argparse.Namespace) -> Tuple[subprocess.Popen, Dict[str, 
     ]
     if args.budget_ms is not None:
         command += ["--budget-ms", str(args.budget_ms)]
-    if args.stage1_processes:
-        command += ["--stage1-processes", str(args.stage1_processes)]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -363,9 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget-ms", type=int, default=None, help="server default per-query deadline"
-    )
-    parser.add_argument(
-        "--stage1-processes", type=int, default=0, help="server Stage-1 subprocesses"
     )
     parser.add_argument(
         "--delta-at",

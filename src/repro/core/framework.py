@@ -46,6 +46,7 @@ from repro.core.diameter import is_l_long_delta_skinny
 from repro.core.patterns import SkinnyPattern
 from repro.graph.canonical import canonical_key
 from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.paths import bfs_distances
 from repro.obs.trace import NULL_TRACER
 
 
@@ -439,19 +440,21 @@ class BoundedDiameterDriver:
     duplicate registry, so a pattern reached from several seed edges is
     grown and returned once, by the first seed that reaches it.  Nothing is
     lost by skipping it later: frequency, the 2K margin and ``max_edges``
-    do not depend on the growth path, so that first seed also reaches every
-    extension of it.  ``max_patterns`` caps the whole answer of the query:
-    once that many patterns were returned, later calls return ``[]``, so a
-    capped answer is a prefix of the uncapped one in discovery order.
-    Calling :meth:`grow` with another context or bound raises
+    do not depend on the growth path, and a child dropped as unrepairable
+    is in no reportable pattern, so that first seed also reaches every
+    reportable extension of it.  ``max_patterns`` caps the whole answer of
+    the query: once that many patterns were returned, later calls return
+    ``[]``, so a capped answer is a prefix of the uncapped one in discovery
+    order.  Calling :meth:`grow` with another context or bound raises
     ``ValueError``.
 
     Tree-shaped states carry their :class:`~repro.graph.canonical.TreeEncodings`,
     so a pendant extension's key comes in O(depth) before its graph copy
-    and embedding join.  A pendant changes no distance between vertices
-    already in the pattern, so its child's diameter,
-    ``max(D, ecc(anchor) + 1)``, is known before the key (from the
-    encodings' ``d1`` / ``d2`` on a tree, by one BFS otherwise).  A closing
+    and embedding join, and a child pushed to the frontier builds its
+    encodings from the leaf its key came with.  A pendant changes no
+    distance between vertices already in the pattern, so its child's
+    diameter, ``max(D, ecc(anchor) + 1)``, is known before the key (from
+    the encodings' ``d1`` / ``d2`` on a tree, by one BFS otherwise).  A closing
     edge lengthens no distance, so only a pending state's closing child is
     gated by :func:`~repro.graph.paths.diameter_at_most`, before its key.
     Closing edges and the pendants of a cyclic state are keyed by
@@ -460,10 +463,17 @@ class BoundedDiameterDriver:
     A child with ``max_edges`` edges is never extended, so it counts only
     when its diameter is within ``K``.  One that is not, and a pendant
     beyond the 2K margin, is dropped before its key; one edge below the
-    budget a pending state scans closing edges only.  ``docs/CORRECTNESS.md`` says
-    why keeping these keys out of the registry changes no answer.
-    ``statistics`` counts every candidate where the driver decides it
-    (``docs/OBSERVABILITY.md``).
+    budget a pending state scans closing edges only.  A pending child is
+    also dropped before its key when no row of it maps every pair it holds
+    more than K apart onto data vertices at most K apart: a pattern path
+    maps onto a data walk as long, so nothing grown from it could come
+    within K.  The check needs no join: the child's rows are the parent's
+    rows and the op's join.  Data distances come from a depth-K BFS per
+    data vertex, memoised for the query; a ball past LevelGrow's
+    ``_VIABILITY_BFS_CAP`` counts as holding every vertex.
+    ``docs/CORRECTNESS.md`` says why keeping these keys out of the registry
+    changes no answer.  ``statistics`` counts every candidate where the
+    driver decides it (``docs/OBSERVABILITY.md``).
 
     Remaining caveat, documented rather than hidden: embedding-count support
     is not anti-monotone, so frequency pruning of intermediates is heuristic
@@ -484,6 +494,9 @@ class BoundedDiameterDriver:
         # The query this instance serves, fixed by the first grow call.
         self._query: Optional[Tuple[MiningContext, int]] = None
         self._seen: Set[Hashable] = set()
+        # Data vertices within K of a data vertex, by (graph index, vertex);
+        # None past the cap.
+        self._balls: Dict[Tuple[int, Hashable], Optional[Set[Hashable]]] = {}
         self._returned = 0
         self.statistics = LevelGrowStatistics()
 
@@ -491,10 +504,11 @@ class BoundedDiameterDriver:
     # Stage 1: frequent single-edge patterns
     # ------------------------------------------------------------------ #
     def mine_minimal(self, context: MiningContext, parameter: Hashable) -> List[object]:
+        from repro.core.levelgrow import edge_label_key
         from repro.graph.embeddings import Embedding
 
-        by_shape: Dict[Tuple[str, str, str], List] = {}
-        labels_of: Dict[Tuple[str, str, str], Tuple[object, object, object]] = {}
+        by_shape: Dict[Tuple[str, str, Tuple[str, bool]], List] = {}
+        labels_of: Dict[Tuple[str, str, Tuple[str, bool]], Tuple[object, object, object]] = {}
         for graph_index in context.graph_indices():
             graph = context.graph(graph_index)
             for edge in graph.edges():
@@ -506,7 +520,7 @@ class BoundedDiameterDriver:
                 if str(label_v) <= str(label_u):
                     orientations.append((label_v, label_u, edge.v, edge.u))
                 for first, second, u, v in orientations:
-                    shape = (str(first), str(second), str(edge.label))
+                    shape = (str(first), str(second), edge_label_key(edge.label))
                     labels_of.setdefault(shape, (first, second, edge.label))
                     by_shape.setdefault(shape, []).append(
                         Embedding.from_dict({0: u, 1: v}, graph_index)
@@ -554,21 +568,32 @@ class BoundedDiameterDriver:
     ) -> Iterator[SkinnyPattern]:
         """Yield, in DFS order, the patterns ``minimal`` reaches that the query has not seen.
 
-        Per candidate the steps are: the budget and margin drops, key,
-        registry check, join, support, then emit, push, or both.  A pendant op on a tree state is keyed
-        from the state's encodings, so only a new key pays for the join,
-        and only a frequent child below the budget for the child's
-        encodings and frontier entry.
+        Per candidate the steps are: the budget, margin and repair drops,
+        key, registry check, join, support, then emit, push, or both.  A
+        pendant op on a tree state is keyed from the state's encodings, so
+        only a new key pays for the join, and only a frequent child below
+        the budget for the child's encodings and frontier entry.
         """
         from repro.core.diameter import canonical_diameter
-        from repro.core.levelgrow import scan_extensions
+        from repro.core.levelgrow import LevelGrower, scan_extensions
         from repro.graph.canonical import TreeEncodings
         from repro.graph.embeddings import EmbeddingTable
-        from repro.graph.paths import bfs_distances, diameter_at_most
+        from repro.graph.paths import diameter_at_most
 
         statistics = self.statistics
         seen = self._seen
         max_edges = self._max_edges
+        balls = self._balls
+        cap = LevelGrower._VIABILITY_BFS_CAP
+
+        def near(graph_index: int, vertex: Hashable, other: Hashable) -> bool:
+            """Whether two data vertices may lie at most K apart (a ball past the cap says so)."""
+            ball = balls.get((graph_index, vertex), False)
+            if ball is False:
+                adjacency = context.frozen_graph(graph_index).adjacency
+                ball = balls[graph_index, vertex] = _ball(adjacency, vertex, bound, cap)
+            return ball is None or other in ball
+
         graph = minimal.graph
         encodings = (
             TreeEncodings.from_tree(graph)
@@ -603,15 +628,34 @@ class BoundedDiameterDriver:
             # Every mapped vertex may sprout and every non-adjacent pair may
             # close, except that one edge below the budget a pending state
             # offers closing edges only: a pendant shortens no distance.
-            columns = [(vertex, table.position_of(vertex)) for vertex in sorted(table.columns)]
+            position_of = table.position_of
+            columns = [(vertex, position_of(vertex)) for vertex in sorted(table.columns)]
             sprouts = [] if last and pending else columns
             pairs = [
                 ((u, v), position_u, position_v)
                 for (u, position_u), (v, position_v) in combinations(columns, 2)
                 if not graph.has_edge(u, v)
             ]
-            # ecc(anchor) + 1 per anchor of a cyclic state, by one BFS each.
-            reach: Dict[Hashable, int] = {}
+            # Pattern distances by one BFS per vertex that needs them: an
+            # anchor of a cyclic state or of a pending child, or every
+            # vertex of a pending state.
+            distances: Dict[Hashable, Dict[Hashable, int]] = {}
+            rows, graph_ids = table.rows, table.graph_ids
+            # Per row of a pending state that may still grow: whether it
+            # maps every pair the state holds more than K apart onto data
+            # vertices at most K apart.
+            rows_within: Optional[List[bool]] = None
+            if pending and not last:
+                far_pairs = [
+                    (position_of(vertex), position_of(other))
+                    for vertex in graph.vertices()
+                    for other, distance in _distances(distances, graph, vertex).items()
+                    if vertex < other and distance > bound
+                ]
+                rows_within = [
+                    all(near(graph_index, row[p], row[q]) for p, q in far_pairs)
+                    for graph_index, row in zip(graph_ids, rows)
+                ]
             for anchor, other, label, edge_label, join in scan_extensions(
                 context, table, sprouts, pairs, edge_labels=True
             ):
@@ -624,15 +668,13 @@ class BoundedDiameterDriver:
                     if encodings is not None:
                         far = max(encodings.d1[anchor], encodings.d2[anchor]) + 1
                     else:
-                        far = reach.get(anchor)
-                        if far is None:
-                            far = max(bfs_distances(graph, anchor).values()) + 1
-                            reach[anchor] = far
+                        far = max(_distances(distances, graph, anchor).values()) + 1
                     within = not pending and far <= bound
                 else:
                     # A closing edge lengthens no distance: a valid state's
                     # child stays within the bound, a pending state's within
-                    # the margin, so only the budget can drop it.
+                    # the margin, so only the budget or the repair check
+                    # below can drop it.
                     far = 0
                     extended = _with_edge(graph, anchor, other, new_id, label, edge_label)
                     within = not pending or diameter_at_most(extended, bound)
@@ -643,12 +685,43 @@ class BoundedDiameterDriver:
                     else:
                         statistics.rejected_margin += 1
                     continue
+                if not within:
+                    # A descendant's embedding restricts to a row of this
+                    # child, and a pattern path maps onto a data walk as
+                    # long, so a reportable descendant needs a row that
+                    # maps every pair the child holds more than K apart
+                    # onto data vertices at most K apart.  A row maps the
+                    # pairs within K in the child within K anyway, so only
+                    # the parent's far pairs and a pendant's new ones are
+                    # checked.
+                    if other is None:
+                        # The leaf is more than K from every vertex at
+                        # least K from its anchor.
+                        far_columns = [
+                            position_of(vertex)
+                            for vertex, distance in _distances(distances, graph, anchor).items()
+                            if distance >= bound
+                        ]
+                        repairable = any(
+                            (not pending or rows_within[row_index])
+                            and all(
+                                near(graph_ids[row_index], rows[row_index][p], image)
+                                for p in far_columns
+                            )
+                            for row_index, image in join
+                        )
+                    else:
+                        repairable = any(rows_within[row_index] for row_index in join)
+                    if not repairable:
+                        statistics.candidates_rejected_constraints += 1
+                        statistics.rejected_unrepairable += 1
+                        continue
                 if extended is None and encodings is None:
                     extended = _with_edge(graph, anchor, None, new_id, label, edge_label)
                 if extended is not None:
                     key = canonical_key(extended)
                 else:
-                    key = encodings.extended_key(anchor, new_id, label, edge_label)
+                    key, leaf = encodings.extended_key(anchor, new_id, label, edge_label)
                     statistics.canonical_incremental_hits += 1
                 statistics.candidates_keyed += 1
                 if key in seen:
@@ -667,7 +740,7 @@ class BoundedDiameterDriver:
                     extended = _with_edge(graph, anchor, None, new_id, label, edge_label)
                 if not last:
                     child = (
-                        encodings.extend(anchor, new_id, label, edge_label)
+                        encodings.extend(leaf)
                         if encodings is not None and other is None
                         else None
                     )
@@ -683,6 +756,31 @@ class BoundedDiameterDriver:
                 else:
                     statistics.candidates_rejected_constraints += 1
                     statistics.candidates_pending += 1
+
+
+def _distances(memo: Dict, graph: LabeledGraph, vertex: Hashable) -> Dict[Hashable, int]:
+    """BFS distances in ``graph`` from ``vertex``, memoised in ``memo``."""
+    found = memo.get(vertex)
+    if found is None:
+        found = memo[vertex] = bfs_distances(graph, vertex)
+    return found
+
+
+def _ball(adjacency, vertex: Hashable, bound: int, cap: int) -> Optional[Set[Hashable]]:
+    """The data vertices at most ``bound`` from ``vertex``, or ``None`` past ``cap`` of them."""
+    ball = {vertex}
+    frontier = [vertex]
+    for _ in range(bound):
+        next_frontier = []
+        for current in frontier:
+            for neighbor in adjacency[current]:
+                if neighbor not in ball:
+                    ball.add(neighbor)
+                    next_frontier.append(neighbor)
+            if len(ball) > cap:
+                return None
+        frontier = next_frontier
+    return ball
 
 
 def _with_edge(graph, anchor, other, new_id, label, edge_label) -> LabeledGraph:

@@ -56,6 +56,15 @@ from repro.graph.paths import _farthest as _descriptor_farthest
 from repro.graph.paths import sum_sweep_diameter
 
 
+def edge_label_key(label: object) -> Tuple[str, bool]:
+    """The key an op is split and sorted by for its edge label.
+
+    An unlabelled edge sorts where the string ``"None"`` does, just before
+    an edge labelled ``"None"``, and its key equals no label's key.
+    """
+    return (str(label), label is not None)
+
+
 def scan_extensions(
     context: MiningContext,
     table: EmbeddingTable,
@@ -84,10 +93,10 @@ def scan_extensions(
     Pendants come first, sorted by (anchor, label string), then closing
     edges, sorted by (min, max) of the pair.  Without ``edge_labels`` the
     ``label`` is the label string and ``edge_label`` is ``None``.  With it
-    ops split by edge label, whose string sorts last; edge labels are read
-    only from views with an ``edge_palette`` (other views' edges have
-    none), and ``label`` and ``edge_label`` are the first label objects the
-    op's join saw.
+    ops split by edge label, whose :func:`edge_label_key` sorts last; edge
+    labels are read only from views with an ``edge_palette`` (other views'
+    edges have none), and ``label`` and ``edge_label`` are the first label
+    objects the op's join saw.
 
     The scan runs against the frozen CSR views of the data
     (:meth:`~repro.core.database.MiningContext.frozen_graph`).  It reads
@@ -109,7 +118,7 @@ def scan_extensions(
             label_strs = data.label_strs
             labelled = edge_labels and data.edge_palette is not None
             edge_label = None
-            edge_key = "None" if edge_labels else None
+            edge_key = edge_label_key(None) if edge_labels else None
             last_graph_index = graph_index
         # Embeddings are injective, so a neighbour already used by the row
         # can never be a pendant image: one set membership per visit.
@@ -120,7 +129,7 @@ def scan_extensions(
                 if neighbor not in row_set:
                     if labelled:
                         edge_label = data.edge_label(image, neighbor)
-                        edge_key = str(edge_label)
+                        edge_key = edge_label_key(edge_label)
                     key = (anchor, label_strs[neighbor], edge_key)
                     join = pendant_joins.get(key)
                     if join is None:
@@ -135,7 +144,7 @@ def scan_extensions(
             if other_image in adjacency[image]:
                 if labelled:
                     edge_label = data.edge_label(image, other_image)
-                    edge_key = str(edge_label)
+                    edge_key = edge_label_key(edge_label)
                 key = (pair, edge_key)
                 rows = closing_joins.get(key)
                 if rows is None:
@@ -222,12 +231,15 @@ class LevelGrowStatistics:
       state that repaired nothing, left for the valid state to add.
 
     The ``diam-le`` driver (:class:`~repro.core.framework.BoundedDiameterDriver`)
-    reports in the same record and leaves the six reasons above, the cache
-    and probe counters and the phase timers at zero.  Its own fields are
+    reports in the same record.  Of the six reasons above it uses only
+    ``rejected_unrepairable``, for a pending child none of whose rows maps
+    its far pairs within K in the data, and it leaves the cache and probe
+    counters and the phase timers at zero.  Its own fields are
     ``rejected_budget`` / ``rejected_margin`` (a child its edge budget or
-    its 2K margin can no longer report, dropped before the key) and
-    ``candidates_keyed`` / ``candidates_joined`` (checked against the
-    duplicate registry, and the new ones among them, which pay for a join).
+    its 2K margin can no longer report; these three drops come before the
+    key) and ``candidates_keyed`` / ``candidates_joined`` (checked against
+    the duplicate registry, and the new ones among them, which pay for a
+    join).
 
     Both growers satisfy two identities (each leaves the other's reasons
     at zero)::
@@ -244,7 +256,7 @@ class LevelGrowStatistics:
     stopped::
 
         candidates_generated == rejected_budget + rejected_margin
-            + candidates_keyed
+            + rejected_unrepairable + candidates_keyed
         candidates_keyed == candidates_rejected_duplicate + candidates_joined
         candidates_joined == candidates_rejected_support + candidates_pending
             + patterns_emitted
@@ -1484,8 +1496,10 @@ class LevelGrower:
         # re-derivation would have failed).  The peek uses ``extended_key``,
         # which re-encodes the leaf's path to the root without the dict
         # copies a full ``extend`` performs — a duplicate costs one key
-        # derivation and one set probe.  With child accounting on, the peek
-        # instead waits for the join so the credited support stays available.
+        # derivation and one set probe — and returns the leaf that
+        # ``extend`` later builds the child from.  With child accounting
+        # on, the peek instead waits for the join so the credited support
+        # stays available.
         encodings = None
         carried = state.encodings
         peekable = (
@@ -1493,9 +1507,10 @@ class LevelGrower:
             and not state.tainted
             and pendant_excess == 0
         )
+        leaf = None
         if peekable and not self._child_accounting:
             started = time.perf_counter()
-            peek_key = carried.extended_key(parent, new_vertex, label)
+            peek_key, leaf = carried.extended_key(parent, new_vertex, label)
             duplicate = peek_key in self._registry
             self.statistics.canonical_seconds += time.perf_counter() - started
             if duplicate:
@@ -1526,13 +1541,15 @@ class LevelGrower:
             self.statistics.candidates_rejected_support += 1
             return None
 
-        if carried is not None and encodings is None:
+        if carried is not None:
             started = time.perf_counter()
-            encodings = carried.extend(parent, new_vertex, label)
-            if peekable and encodings.key in self._registry:
-                self.statistics.canonical_incremental_hits += 1
-                self.statistics.canonical_seconds += time.perf_counter() - started
-                return _DuplicateChild(support)
+            if leaf is None:
+                peek_key, leaf = carried.extended_key(parent, new_vertex, label)
+                if peekable and peek_key in self._registry:
+                    self.statistics.canonical_incremental_hits += 1
+                    self.statistics.canonical_seconds += time.perf_counter() - started
+                    return _DuplicateChild(support)
+            encodings = carried.extend(leaf)
             self.statistics.canonical_seconds += time.perf_counter() - started
 
         pattern = state.pattern.copy()

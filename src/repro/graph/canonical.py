@@ -17,8 +17,9 @@ three cases, picked by the cycle rank ``|E| - |V| + 1``:
 The two rungs are near-linear, and :class:`TreeEncodings` and
 :class:`UnicyclicEncodings` let the growth loop derive a one-leaf
 extension's key in O(depth): one function, :func:`_splice`, re-encodes the
-new leaf's path to the root, and both classes build ``extend`` and
-``extended_key`` on it.  The labeller prunes its search with the
+new leaf's path to the root.  Both classes call it once per leaf, in
+``extended_key``, which returns the key and the leaf, and ``extend`` builds
+the child from that leaf.  The labeller prunes its search with the
 automorphisms it finds, so symmetric patterns such as K_n, grids or unions
 of equal parts stay cheap.
 """
@@ -438,11 +439,11 @@ class TreeEncodings:
     vertex's sorted-children tuple is rebuilt — on each call.  During pattern
     growth, however, consecutive trees differ by exactly one pendant edge, so
     only the encodings on the path from the new leaf up to the root change:
-    :func:`_splice` re-encodes that path without touching the parent, and
-    both :meth:`extend` (the child's encodings) and :meth:`extended_key` (its
-    key alone, with no map copied) are built on it.  Either derives the
-    child's canonical :attr:`key`, equal to the batch key, in O(depth ·
-    log degree) tuple work instead of a full re-encode.
+    :meth:`extended_key` re-encodes that path by :func:`_splice`, without
+    touching the parent or copying a map, and returns the child's canonical
+    key, equal to the batch key, in O(depth · log degree) tuple work instead
+    of a full re-encode.  It also returns the leaf, from which
+    :meth:`extend` builds the child's encodings without a second splice.
 
     Invariants: :attr:`root` is always a centre of the tree, ``centers[0]``,
     and :attr:`enc` holds, for every vertex, the same ``(vertex label,
@@ -554,15 +555,53 @@ class TreeEncodings:
     # ------------------------------------------------------------------ #
     # one-leaf extension
     # ------------------------------------------------------------------ #
-    def extend(
+    def extended_key(
         self,
         attach: VertexId,
         new_vertex: VertexId,
         vertex_label: Optional[Label],
         edge_label: Optional[Label] = None,
-    ) -> "TreeEncodings":
-        """Encodings of the tree with leaf ``new_vertex`` hung off ``attach``."""
-        path, centers, key = self._grown(attach, new_vertex, vertex_label, edge_label)
+    ) -> Tuple[Tuple, Tuple]:
+        """The key of the tree with leaf ``new_vertex`` hung off ``attach``, and the leaf.
+
+        The duplicate-registry peek in the growth loop only needs the child
+        tree's *key*: when the key is already registered the full
+        :class:`TreeEncodings` (five dict copies per call) is never built.
+        The key needs only the spliced path and the child's centres, which
+        are read off the parent, also when the leaf lengthens the diameter.
+        The second item is the leaf, spliced path and centres included,
+        that :meth:`extend` builds the child from.
+        """
+        path = _splice(self.enc, self.parent, attach, new_vertex, vertex_label, edge_label)
+        root = self.root
+        # Centres come root first, unless the root stops being one; a second
+        # centre is the root's child.
+        centers = self.centers
+        if max(self.d1[attach], self.d2[attach]) == self.diam:
+            # The leaf lengthens the diameter by one, which moves the centre
+            # half an edge toward it.
+            if len(centers) == 1:
+                centers = [root, list(path)[-2]]
+            elif centers[1] in path:
+                centers = centers[1:]
+            else:
+                centers = centers[:1]
+        child = centers[-1]
+        key = _centre_key(
+            path[root],
+            None if child == root else path.get(child) or self.enc[child],
+            centers[0] == root,
+        )
+        return key, (attach, new_vertex, path, centers, key)
+
+    def extend(self, leaf: Tuple) -> "TreeEncodings":
+        """Encodings of the tree with ``leaf`` hung on.
+
+        ``leaf`` is the second item :meth:`extended_key` returned on this
+        instance, so the child reuses the path that its key was spliced
+        from.
+        """
+        attach, new_vertex, path, centers, key = leaf
         parent, children, enc = _graft(self, attach, new_vertex, path)
         root = self.root
         if centers[0] != root:
@@ -599,59 +638,9 @@ class TreeEncodings:
                 extended.d1 = extended._distances_from(new_vertex)
         return extended
 
-    def extended_key(
-        self,
-        attach: VertexId,
-        new_vertex: VertexId,
-        vertex_label: Optional[Label],
-        edge_label: Optional[Label] = None,
-    ) -> Tuple:
-        """The canonical key :meth:`extend` would produce, without building the child.
-
-        The duplicate-registry peek in the growth loop only needs the child
-        tree's *key*: when the key is already registered the full
-        :class:`TreeEncodings` (five dict copies per call) is never used.
-        The key needs only the spliced path and the child's centres, which
-        :meth:`_grown` reads off the parent, also when the leaf lengthens
-        the diameter.
-        """
-        return self._grown(attach, new_vertex, vertex_label, edge_label)[2]
-
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _grown(
-        self,
-        attach: VertexId,
-        new_vertex: VertexId,
-        vertex_label: Optional[Label],
-        edge_label: Optional[Label],
-    ) -> Tuple[Dict[VertexId, Tuple], List[VertexId], Tuple]:
-        """The child's spliced path, its centres and its key.
-
-        The centres come root first, unless the root stops being one; a
-        second centre is the root's child.
-        """
-        path = _splice(self.enc, self.parent, attach, new_vertex, vertex_label, edge_label)
-        root = self.root
-        centers = self.centers
-        if max(self.d1[attach], self.d2[attach]) == self.diam:
-            # The leaf lengthens the diameter by one, which moves the centre
-            # half an edge toward it.
-            if len(centers) == 1:
-                centers = [root, list(path)[-2]]
-            elif centers[1] in path:
-                centers = centers[1:]
-            else:
-                centers = centers[:1]
-        child = centers[-1]
-        key = _centre_key(
-            path[root],
-            None if child == root else path.get(child) or self.enc[child],
-            centers[0] == root,
-        )
-        return path, centers, key
-
     def _neighbors(self, vertex: VertexId) -> List[VertexId]:
         up = self.parent[vertex]
         kids = self.children[vertex]
@@ -686,11 +675,11 @@ class UnicyclicEncodings:
     roots pinned — no centre bookkeeping needed) and derives each one-leaf
     extension's canonical :attr:`key`, equal to the batch key, in
     O(depth + cycle length) from :func:`_splice`, as :class:`TreeEncodings`
-    does.
+    does: :meth:`extended_key` splices once and returns the key with the
+    leaf, and :meth:`extend` builds the child from that leaf.
 
     Instances are immutable from the caller's perspective: :meth:`extend`
-    returns a new object; :meth:`extended_key` derives the child's key alone,
-    for the duplicate-registry peek.
+    returns a new object.
     """
 
     __slots__ = ("cycle", "edges", "pos_of", "parent", "children", "enc", "trees", "key")
@@ -770,52 +759,36 @@ class UnicyclicEncodings:
             _cycle_rotation_key(trees, edges),
         )
 
-    def extend(
-        self,
-        attach: VertexId,
-        new_vertex: VertexId,
-        vertex_label: Optional[Label],
-        edge_label: Optional[Label] = None,
-    ) -> "UnicyclicEncodings":
-        """Encodings of the graph with leaf ``new_vertex`` hung off ``attach``."""
-        path, trees = self._grown(attach, new_vertex, vertex_label, edge_label)
-        parent, children, enc = _graft(self, attach, new_vertex, path)
-        return UnicyclicEncodings(
-            self.cycle,
-            self.edges,
-            self.pos_of,
-            parent,
-            children,
-            enc,
-            trees,
-            _cycle_rotation_key(trees, self.edges),
-        )
-
     def extended_key(
         self,
         attach: VertexId,
         new_vertex: VertexId,
         vertex_label: Optional[Label],
         edge_label: Optional[Label] = None,
-    ) -> Tuple:
-        """The canonical key :meth:`extend` would produce, without building the child."""
-        return _cycle_rotation_key(
-            self._grown(attach, new_vertex, vertex_label, edge_label)[1], self.edges
-        )
+    ) -> Tuple[Tuple, Tuple]:
+        """The key of the graph with leaf ``new_vertex`` hung off ``attach``, and the leaf.
 
-    def _grown(
-        self,
-        attach: VertexId,
-        new_vertex: VertexId,
-        vertex_label: Optional[Label],
-        edge_label: Optional[Label],
-    ) -> Tuple[Dict[VertexId, Tuple], List[Tuple]]:
-        """The child's spliced path and its hanging-tree encodings, by cycle position."""
+        The second item is the leaf, spliced path and hanging-tree
+        encodings included, that :meth:`extend` builds the child from.
+        """
         path = _splice(self.enc, self.parent, attach, new_vertex, vertex_label, edge_label)
         anchor = next(reversed(path))
         trees = list(self.trees)
         trees[self.pos_of[anchor]] = path[anchor]
-        return path, trees
+        key = _cycle_rotation_key(trees, self.edges)
+        return key, (attach, new_vertex, path, trees, key)
+
+    def extend(self, leaf: Tuple) -> "UnicyclicEncodings":
+        """Encodings of the graph with ``leaf`` hung on.
+
+        ``leaf`` is the second item :meth:`extended_key` returned on this
+        instance.
+        """
+        attach, new_vertex, path, trees, key = leaf
+        parent, children, enc = _graft(self, attach, new_vertex, path)
+        return UnicyclicEncodings(
+            self.cycle, self.edges, self.pos_of, parent, children, enc, trees, key
+        )
 
 
 def _rooted_tree_encoding(tree: LabeledGraph, root: VertexId) -> Tuple:

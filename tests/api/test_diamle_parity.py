@@ -28,7 +28,9 @@ from repro.core import framework, levelgrow
 from repro.core.database import MiningContext, SupportMeasure
 from repro.core.diameter import canonical_diameter
 from repro.core.framework import BoundedDiameterDriver
+from repro.core.levelgrow import LevelGrower
 from repro.core.patterns import SkinnyPattern
+from repro.graph import canonical
 from repro.graph.canonical import TreeEncodings, canonical_key
 from repro.graph.embeddings import EmbeddingTable
 from repro.graph.generators import (
@@ -232,6 +234,8 @@ CASES = {
         query(2, 5, 2, include_minimal=False),
     ),
     "demo-k2": (lambda: load_dataset("demo"), query(2, 6, 3)),
+    # perfbench's diamle-growth query, on the same graph.
+    "blowup-k2-e5": (blowup_graph, query(2, 5, 2)),
 }
 
 
@@ -246,11 +250,18 @@ def test_engine_answer_equals_the_reference(case):
 
 @st.composite
 def random_cases(draw):
-    """Small ER databases (edge labels off, on, or on some edges) and a diam-le query."""
+    """Small ER databases (edge labels off, on, or on some edges) and a diam-le query.
+
+    Dense data and wide budgets are where pending states get repaired.
+    Such draws take at most two graphs of at most six vertices and σ ≥ 2,
+    which keeps the reference's enumeration to a few seconds.
+    """
     seed = draw(st.integers(0, 2**16))
-    count = draw(st.integers(1, 3))
-    num_vertices = draw(st.integers(5, 10))
-    avg_degree = draw(st.sampled_from((1.5, 2.0, 2.5)))
+    max_edges = draw(st.sampled_from((2, 3, 4, 5, 6, 8, None)))
+    avg_degree = draw(st.sampled_from((1.5, 2.0, 2.5, 3.0, 4.0)))
+    large = max_edges is None or max_edges > 6 or avg_degree > 2.5
+    count = draw(st.integers(1, 2 if large else 3))
+    num_vertices = draw(st.integers(4 if large else 5, 6 if large else 10))
     num_labels = draw(st.integers(1, 3))
     edge_labels = draw(st.sampled_from((None, "xy", ("x", None))))
     graphs = [
@@ -264,8 +275,8 @@ def random_cases(draw):
         ]
     diam_query = query(
         draw(st.integers(1, 3)),
-        draw(st.integers(2, 6)),
-        draw(st.integers(1, 3)),
+        max_edges,
+        draw(st.integers(2 if large else 1, 3)),
         draw(st.sampled_from(list(SupportMeasure))),
     )
     return graphs, diam_query
@@ -283,8 +294,15 @@ def test_random_inputs_match_the_reference(case):
 # work pins on the demo graph's k=2 σ=3 query
 # --------------------------------------------------------------------- #
 def counted_run(monkeypatch, data, diam_query):
-    """Run the query, counting joins, keys by candidate shape and tree encodings built."""
-    counts = {"joins": 0, "tree keys": 0, "cyclic keys": 0, "extend": 0, "extended_key": 0}
+    """Run the query, counting joins, keys by shape, path splices and tree encodings built."""
+    counts = {
+        "joins": 0,
+        "tree keys": 0,
+        "cyclic keys": 0,
+        "_splice": 0,
+        "extend": 0,
+        "extended_key": 0,
+    }
     batch_key = framework.canonical_key
 
     def counting(name, method):
@@ -301,6 +319,7 @@ def counted_run(monkeypatch, data, diam_query):
 
     monkeypatch.setattr(EmbeddingTable, "extended", counting("joins", EmbeddingTable.extended))
     monkeypatch.setattr(framework, "canonical_key", counting_key)
+    monkeypatch.setattr(canonical, "_splice", counting("_splice", canonical._splice))
     for name in ("extend", "extended_key"):
         monkeypatch.setattr(TreeEncodings, name, counting(name, getattr(TreeEncodings, name)))
     result = MiningEngine(data).run(diam_query)
@@ -313,14 +332,17 @@ def test_demo_query_joins_each_new_extension_once(monkeypatch):
     assert len(result.patterns) == 25
     # Per-seed growth joined every extension of every seed: 792 joins.  One
     # registry per query took that to 229; deciding a pendant's diameter
-    # before its key (the budget and the 2K margin) takes it to 183.
-    assert counts["joins"] == 183
+    # before its key (the budget and the 2K margin) took it to 183, and
+    # dropping the pending children no row can repair takes it to 86.
+    assert counts["joins"] == 86
     assert counts["tree keys"] == 0
     # Every tree pendant is keyed by extended_key, also one that lengthens
     # the diameter, and only a frequent child pushed to the frontier gets
-    # its encodings.
-    assert (counts["extend"], counts["extended_key"]) == (35, 243)
-    assert counts["extended_key"] == result.stats.level_statistics["canonical_incremental_hits"]
+    # its encodings, built from the path its key was spliced from: one
+    # splice per key.
+    assert (counts["extend"], counts["extended_key"]) == (12, 114)
+    hits = result.stats.level_statistics["canonical_incremental_hits"]
+    assert counts["extended_key"] == counts["_splice"] == hits
 
 
 def test_cyclic_candidates_are_keyed_through_the_module_attribute(monkeypatch):
@@ -339,9 +361,11 @@ def test_cyclic_candidates_are_keyed_through_the_module_attribute(monkeypatch):
 @pytest.mark.parametrize(
     "make_data, drops, joins",
     [
-        # 4,121 pendant joins before the budget cut, 2,545 of them such children.
-        (blowup_graph, (202, 4), (1576, 2)),
-        (lambda: erdos_renyi_graph(20, 3.0, 2, seed=1), (133, 166), (100, 23)),
+        # 4,121 pendant joins before the budget cut, 2,545 of them such
+        # children; 1,576 after it, and 555 once a pending child that no
+        # row can repair is dropped.
+        (blowup_graph, (202, 0), (555, 2)),
+        (lambda: erdos_renyi_graph(20, 3.0, 2, seed=1), (133, 166), (98, 23)),
     ],
     ids=["blowup", "er-closing"],
 )
@@ -397,9 +421,10 @@ def test_no_join_builds_an_unreportable_child_at_the_budget(
         for child in joined["pendant"] + joined["closing"]
         if child.num_edges() == max_edges and diameter(child) > k
     ] == []
-    # Both kinds of unreportable child reach the budget (a pending state
-    # offers closing edges only), and every one of them is a budget drop,
-    # taken before the key.
+    # Pendants reach the budget on both inputs, closing edges on the ER
+    # graph only (one edge below the budget a pending state offers closing
+    # edges only, and on the blow-up graph none that is kept offers one),
+    # and every such child is a budget drop, taken before the key.
     assert (offered["pendant"], offered["closing"]) == drops
     assert result.stats.level_statistics["rejected_budget"] == sum(drops)
     assert (len(joined["pendant"]), len(joined["closing"])) == joins
@@ -408,7 +433,10 @@ def test_no_join_builds_an_unreportable_child_at_the_budget(
 def assert_counts_add_up(stats):
     """The driver's split of its candidates, and LevelGrow's two identities."""
     assert stats["candidates_generated"] == (
-        stats["rejected_budget"] + stats["rejected_margin"] + stats["candidates_keyed"]
+        stats["rejected_budget"]
+        + stats["rejected_margin"]
+        + stats["rejected_unrepairable"]
+        + stats["candidates_keyed"]
     )
     assert stats["candidates_keyed"] == (
         stats["candidates_rejected_duplicate"] + stats["candidates_joined"]
@@ -440,18 +468,22 @@ def assert_counts_add_up(stats):
 @pytest.mark.parametrize(
     "make_data, diam_query, decided",
     [
-        (blowup_graph, query(2, 5, 2), "rejected_budget"),
-        (lambda: load_dataset("demo"), query(2, 6, 3), "rejected_margin"),
-        (lambda: erdos_renyi_graph(20, 3.0, 2, seed=1), query(2, 5, 2), "rejected_budget"),
+        (blowup_graph, query(2, 5, 2), ("rejected_budget", "rejected_unrepairable")),
+        (blowup_graph, query(2, 8, 2), ("rejected_margin", "rejected_unrepairable")),
+        (
+            lambda: erdos_renyi_graph(20, 3.0, 2, seed=1),
+            query(2, 5, 2),
+            ("rejected_budget", "rejected_unrepairable"),
+        ),
     ],
-    ids=["blowup-budget", "demo-margin", "er-closing"],
+    ids=["blowup-budget", "blowup-margin", "er-closing"],
 )
 def test_level_statistics_count_every_candidate_once(make_data, diam_query, decided):
     registry = MetricsRegistry()
     result = MiningEngine(make_data(), metrics=registry).run(diam_query)
     stats = result.stats.level_statistics
     assert_counts_add_up(stats)
-    assert stats[decided] > 0
+    assert all(stats[reason] > 0 for reason in decided)
     assert stats["candidates_pending"] > 0
     # Grown patterns only: the seed edges come from Stage 1.
     assert stats["patterns_emitted"] == len(result.patterns) - result.stats.num_minimal_patterns
@@ -459,3 +491,113 @@ def test_level_statistics_count_every_candidate_once(make_data, diam_query, deci
         "repro_patterns_emitted_total", labels={"constraint": "diam-le"}
     ).value
     assert emitted == stats["patterns_emitted"]
+
+
+# --------------------------------------------------------------------- #
+# the repair drop: a pending child grows only while some row maps every
+# pair it holds more than K apart onto data vertices at most K apart
+# --------------------------------------------------------------------- #
+SQUARE = ("abcd", [(0, 1), (1, 2), (2, 3), (3, 0)])
+PATH = ("abcd", [(0, 1), (1, 2), (2, 3)])
+
+
+def graph_of(*components):
+    """One graph holding each ``(labels, edges)`` component, numbered apart."""
+    graph = LabeledGraph(name="components")
+    offset = 0
+    for labels, edges in components:
+        for index, label in enumerate(labels):
+            graph.add_vertex(offset + index, label)
+        for u, v in edges:
+            graph.add_edge(offset + u, offset + v)
+        offset += len(labels)
+    return graph
+
+
+def assert_answers_as_the_reference(data, diam_query):
+    result = MiningEngine(data).run(diam_query)
+    assert serialised(result.patterns) == serialised(reference_answer(data, diam_query))
+    stats = result.stats.level_statistics
+    assert_counts_add_up(stats)
+    return result, stats
+
+
+def test_a_cycle_reached_only_through_a_pending_path_is_still_reported():
+    # Two squares a-b-c-d with a tail e on a.  Under K = 2 the square
+    # (diameter 2) is reached only by closing a 3-path (diameter 3), whose
+    # rows all lie on a data square, so they stay pending.  The 3-paths
+    # through the tail, e-a-b-c and e-a-d-c, map their ends 3 apart in
+    # every row and are dropped.
+    tailed = ("abcde", SQUARE[1] + [(0, 4)])
+    result, stats = assert_answers_as_the_reference(
+        graph_of(tailed, tailed), query(2, None, 2)
+    )
+    squares = [p for p in result.patterns if p.num_edges == p.num_vertices == 4]
+    assert [p.support for p in squares] == [2]
+    assert stats["candidates_pending"] > 0
+    assert stats["rejected_unrepairable"] > 0
+
+
+def test_one_repairable_row_keeps_a_pending_child_with_all_its_rows(monkeypatch):
+    # The 3-path a-b-c-d occurs on a data square, whose closing edge could
+    # repair it, and on a bare path, which cannot.  The one row on the
+    # square keeps it pending, and the check filters no row: at σ = 2 the
+    # path is frequent only by counting both.
+    supports = []
+    support_of_table = MiningContext.support_of_table
+
+    def recording(context, table):
+        support = support_of_table(context, table)
+        supports.append((len(table.columns), support))
+        return support
+
+    data, diam_query = graph_of(SQUARE, PATH), query(2, None, 2)
+    monkeypatch.setattr(MiningContext, "support_of_table", recording)
+    result = MiningEngine(data).run(diam_query)
+    monkeypatch.undo()
+    assert serialised(result.patterns) == serialised(reference_answer(data, diam_query))
+    stats = result.stats.level_statistics
+    assert stats["candidates_pending"] == 1
+    assert stats["rejected_unrepairable"] == 0
+    # The other 4-vertex tables (three 3-paths and the square) occur on
+    # the square only.
+    assert supports.count((4, 2)) == 1
+
+
+def test_a_data_ball_past_the_cap_counts_as_near():
+    # Two bare 3-paths a-b-c-d: no row can repair one under K = 2, so the
+    # path is dropped.  Hang the first copy's a off a hub with more leaves
+    # than the cap, and a's 2-ball passes the cap: the path, keyed through
+    # that ball, stays pending, and the answer is still the reference's.
+    bare, bare_stats = assert_answers_as_the_reference(graph_of(PATH, PATH), query(2, None, 2))
+    assert bare_stats["candidates_pending"] == 0
+    assert bare_stats["rejected_unrepairable"] > 0
+
+    hub = graph_of(PATH, PATH)
+    hub.add_vertex(8, "h")
+    hub.add_edge(0, 8)
+    for leaf in range(9, 10 + LevelGrower._VIABILITY_BFS_CAP):
+        hub.add_vertex(leaf, f"l{leaf}")
+        hub.add_edge(8, leaf)
+    result, stats = assert_answers_as_the_reference(hub, query(2, None, 2))
+    assert stats["candidates_pending"] > 0
+    assert serialised(result.patterns) == serialised(bare.patterns)
+
+
+def test_blowup_query_at_eight_edges_grows_few_pending_states(monkeypatch):
+    # Every pending state but four is dropped, and most joins with them.
+    # The answer is the one growth without the drop gives (every data ball
+    # past the cap, so every child counts as repairable).  The per-seed
+    # reference gives it too, but takes about 45 s at this budget.
+    data = blowup_graph()
+    diam_query = query(2, 8, 2)
+    result = MiningEngine(data).run(diam_query)
+    stats = result.stats.level_statistics
+    assert (stats["candidates_joined"], stats["candidates_pending"]) == (593, 4)
+    monkeypatch.setattr(framework, "_ball", lambda *args: None)
+    unpruned = MiningEngine(data).run(diam_query)
+    unpruned_stats = unpruned.stats.level_statistics
+    assert unpruned_stats["rejected_unrepairable"] == 0
+    assert unpruned_stats["candidates_joined"] == 15542
+    assert unpruned_stats["candidates_pending"] == 7524
+    assert serialised(result.patterns) == serialised(unpruned.patterns)

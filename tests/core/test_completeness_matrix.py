@@ -218,6 +218,18 @@ class TestBoundedDiameterMatrix:
         ]
         assert_diam_le_matches_oracle(database, measure)
 
+    # Two copies of a-b-c, unlabelled but for the second copy's b-c edge,
+    # which carries the string "None": it is not an unlabelled edge, so
+    # only a-b occurs twice.
+    @pytest.mark.parametrize("measure", SINGLE_MEASURES)
+    def test_an_edge_labelled_none_is_not_unlabelled(self, measure):
+        graph = build_graph(
+            {0: "a", 1: "b", 2: "c", 3: "a", 4: "b", 5: "c"}, [(0, 1), (1, 2), (3, 4)]
+        )
+        graph.add_edge(4, 5, "None")
+        assert_diam_le_matches_oracle(graph, measure)
+        assert len(mine_bounded_diameter(graph, 2, 2, measure)) == 1
+
 
 def with_edge_labels(graph, seed, share):
     """A copy of ``graph`` whose edges carry x or y, each with probability ``share``."""

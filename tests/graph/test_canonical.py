@@ -213,8 +213,8 @@ class TestIncrementalTreeKey:
                 continue
             # The random attachments often lengthen the diameter, which
             # moves the centre: the peek must follow it without extending.
-            peeked = encodings.extended_key(attach, new_vertex, vertex_label, edge_label)
-            encodings = encodings.extend(attach, new_vertex, vertex_label, edge_label)
+            peeked, leaf = encodings.extended_key(attach, new_vertex, vertex_label, edge_label)
+            encodings = encodings.extend(leaf)
             assert peeked == encodings.key == tree_canonical_key(graph)
 
     def test_extended_key_never_builds_the_child(self, monkeypatch):
@@ -224,7 +224,7 @@ class TestIncrementalTreeKey:
         ]
         built = [TreeEncodings.from_tree(steps[0][0])]
         for _, *op in steps[1:]:
-            built.append(built[-1].extend(*op))
+            built.append(built[-1].extend(built[-1].extended_key(*op)[1]))
 
         def refuse(*args, **kwargs):
             raise AssertionError("extended_key built the child")
@@ -232,7 +232,7 @@ class TestIncrementalTreeKey:
         monkeypatch.setattr(TreeEncodings, "extend", refuse)
         lengthened = 0
         for parent, (graph, *op) in zip(built, steps[1:]):
-            assert parent.extended_key(*op) == tree_canonical_key(graph)
+            assert parent.extended_key(*op)[0] == tree_canonical_key(graph)
             lengthened += max(parent.d1[op[0]], parent.d2[op[0]]) == parent.diam
         assert lengthened > 0
 
@@ -241,7 +241,7 @@ class TestIncrementalTreeKey:
         parent = TreeEncodings.from_tree(graph)
         key_before = parent.key
         root_before = parent.root
-        child = parent.extend(0, 2, "c")
+        child = parent.extend(parent.extended_key(0, 2, "c")[1])
         # Parent encodings untouched: growth states share them by reference.
         assert parent.key == key_before and parent.root == root_before
         assert 2 not in parent.parent
@@ -252,9 +252,9 @@ class TestIncrementalTreeKey:
     def test_rejects_bad_attachments(self):
         parent = TreeEncodings.from_tree(build_graph({0: "a", 1: "b"}, [(0, 1)]))
         with pytest.raises(ValueError):
-            parent.extend(99, 2, "c")  # unknown attachment vertex
+            parent.extended_key(99, 2, "c")  # unknown attachment vertex
         with pytest.raises(ValueError):
-            parent.extend(0, 1, "c")  # vertex already present
+            parent.extended_key(0, 1, "c")  # vertex already present
 
 
 def _random_unicyclic(rng, size, num_labels, edge_labels=False):
@@ -345,12 +345,10 @@ class TestIncrementalUnicyclicKey:
                 rng.choice("xy") if edge_labels and rng.random() < 0.5 else None
             )
             # The peek key (no dict copies) must agree with the full extend.
-            peeked = encodings.extended_key(
+            peeked, leaf = encodings.extended_key(
                 attach, next_vertex, vertex_label, edge_label
             )
-            encodings = encodings.extend(
-                attach, next_vertex, vertex_label, edge_label
-            )
+            encodings = encodings.extend(leaf)
             graph.add_vertex(next_vertex, vertex_label)
             graph.add_edge(attach, next_vertex, edge_label)
             assert peeked == encodings.key
@@ -363,7 +361,7 @@ class TestIncrementalUnicyclicKey:
         )
         parent = UnicyclicEncodings.from_graph(graph)
         key_before = parent.key
-        child = parent.extend(1, 3, "d")
+        child = parent.extend(parent.extended_key(1, 3, "d")[1])
         assert parent.key == key_before
         assert 3 not in parent.parent
         graph.add_vertex(3, "d")
@@ -375,9 +373,9 @@ class TestIncrementalUnicyclicKey:
             build_graph({0: "a", 1: "a", 2: "a"}, [(0, 1), (1, 2), (0, 2)])
         )
         with pytest.raises(ValueError):
-            parent.extend(99, 3, "b")  # unknown attachment vertex
+            parent.extended_key(99, 3, "b")  # unknown attachment vertex
         with pytest.raises(ValueError):
-            parent.extend(0, 2, "b")  # vertex already present
+            parent.extended_key(0, 2, "b")  # vertex already present
         with pytest.raises(ValueError):
             UnicyclicEncodings.from_graph(build_graph({0: "a", 1: "a"}, [(0, 1)]))
 

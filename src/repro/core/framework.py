@@ -460,6 +460,11 @@ class BoundedDiameterDriver:
     Closing edges and the pendants of a cyclic state are keyed by
     :func:`~repro.graph.canonical.canonical_key`.
 
+    A child whose join holds fewer rows than σ is dropped first, before
+    any other check, key or join: support is at most the row count under
+    every measure, and the tables hold every embedding, so every
+    derivation of the child has the same rows and fails too.
+
     A child with ``max_edges`` edges is never extended, so it counts only
     when its diameter is within ``K``.  One that is not, and a pendant
     beyond the 2K margin, is dropped before its key; one edge below the
@@ -568,11 +573,11 @@ class BoundedDiameterDriver:
     ) -> Iterator[SkinnyPattern]:
         """Yield, in DFS order, the patterns ``minimal`` reaches that the query has not seen.
 
-        Per candidate the steps are: the budget, margin and repair drops,
-        key, registry check, join, support, then emit, push, or both.  A
-        pendant op on a tree state is keyed from the state's encodings, so
-        only a new key pays for the join, and only a frequent child below
-        the budget for the child's encodings and frontier entry.
+        Per candidate the steps are: the row count, the budget, margin and
+        repair drops, key, registry check, join, support, then emit, push,
+        or both.  A pendant op on a tree state is keyed from the state's
+        encodings, so only a new key pays for the join, and only a frequent
+        child below the budget for the child's encodings and frontier entry.
         """
         from repro.core.diameter import canonical_diameter
         from repro.core.levelgrow import LevelGrower, scan_extensions
@@ -582,6 +587,7 @@ class BoundedDiameterDriver:
 
         statistics = self.statistics
         seen = self._seen
+        min_support = context.min_support
         max_edges = self._max_edges
         balls = self._balls
         cap = LevelGrower._VIABILITY_BFS_CAP
@@ -660,6 +666,10 @@ class BoundedDiameterDriver:
                 context, table, sprouts, pairs, edge_labels=True
             ):
                 statistics.candidates_generated += 1
+                if len(join) < min_support:
+                    statistics.candidates_rejected_support += 1
+                    statistics.rejected_rows += 1
+                    continue
                 extended = None
                 if other is None:
                     # A pendant leaves every distance between existing

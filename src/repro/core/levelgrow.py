@@ -230,6 +230,11 @@ class LevelGrowStatistics:
     * ``candidates_deferred`` — an edge between valid vertices of a pending
       state that repaired nothing, left for the valid state to add.
 
+    ``rejected_rows`` counts, in both growers, the candidates whose join
+    holds fewer rows than σ: support is at most the row count under every
+    measure, so they build no table.  They are *also* counted under
+    ``candidates_rejected_support``.
+
     The ``diam-le`` driver (:class:`~repro.core.framework.BoundedDiameterDriver`)
     reports in the same record.  Of the six reasons above it uses only
     ``rejected_unrepairable``, for a pending child none of whose rows maps
@@ -237,9 +242,9 @@ class LevelGrowStatistics:
     counters and the phase timers at zero.  Its own fields are
     ``rejected_budget`` / ``rejected_margin`` (a child its edge budget or
     its 2K margin can no longer report; these three drops come before the
-    key) and ``candidates_keyed`` / ``candidates_joined`` (checked against
-    the duplicate registry, and the new ones among them, which pay for a
-    join).
+    key, and the row count before them) and ``candidates_keyed`` /
+    ``candidates_joined`` (checked against the duplicate registry, and the
+    new ones among them, which pay for a join).
 
     Both growers satisfy two identities (each leaves the other's reasons
     at zero)::
@@ -255,11 +260,11 @@ class LevelGrowStatistics:
     and the ``diam-le`` record also splits its candidates by where they
     stopped::
 
-        candidates_generated == rejected_budget + rejected_margin
-            + rejected_unrepairable + candidates_keyed
+        candidates_generated == rejected_rows + rejected_budget
+            + rejected_margin + rejected_unrepairable + candidates_keyed
         candidates_keyed == candidates_rejected_duplicate + candidates_joined
-        candidates_joined == candidates_rejected_support + candidates_pending
-            + patterns_emitted
+        candidates_joined + rejected_rows == candidates_rejected_support
+            + candidates_pending + patterns_emitted
     """
 
     candidates_generated: int = 0
@@ -284,6 +289,7 @@ class LevelGrowStatistics:
     rejected_margin: int = 0
     candidates_keyed: int = 0
     candidates_joined: int = 0
+    rejected_rows: int = 0
 
     def merge(self, other: "LevelGrowStatistics") -> None:
         """Add every counter and timer of ``other`` into this one."""
@@ -1529,10 +1535,13 @@ class LevelGrower:
             self.statistics.rejected_constraint_three += 1
             return None
 
-        table = state.table.extended(new_vertex, join_pairs)
-        if not table.graph_ids:
+        # Support is at most the row count under every measure, so a join
+        # with fewer rows than σ builds no table.
+        if len(join_pairs) < self._context.min_support:
             self.statistics.candidates_rejected_support += 1
+            self.statistics.rejected_rows += 1
             return None
+        table = state.table.extended(new_vertex, join_pairs)
 
         # The support measures read only the table, so the frequency gate
         # runs before the per-candidate pattern copy is paid for.
@@ -1614,11 +1623,11 @@ class LevelGrower:
             self.statistics.rejected_constraint_three += 1
             return None
 
-        table = state.table.subset(join_rows)
-        if not table.graph_ids:
+        if len(join_rows) < self._context.min_support:
             self.statistics.candidates_rejected_support += 1
+            self.statistics.rejected_rows += 1
             return None
-
+        table = state.table.subset(join_rows)
         support = self._context.support_of_table(table)
         if not self._context.is_frequent(support):
             self.statistics.candidates_rejected_support += 1

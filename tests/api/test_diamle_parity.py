@@ -332,15 +332,17 @@ def test_demo_query_joins_each_new_extension_once(monkeypatch):
     assert len(result.patterns) == 25
     # Per-seed growth joined every extension of every seed: 792 joins.  One
     # registry per query took that to 229; deciding a pendant's diameter
-    # before its key (the budget and the 2K margin) took it to 183, and
-    # dropping the pending children no row can repair takes it to 86.
-    assert counts["joins"] == 86
+    # before its key (the budget and the 2K margin) took it to 183,
+    # dropping the pending children no row can repair took it to 86, and
+    # dropping a child whose join holds fewer rows than σ, before any other
+    # check, takes it to 12.
+    assert counts["joins"] == 12
     assert counts["tree keys"] == 0
     # Every tree pendant is keyed by extended_key, also one that lengthens
     # the diameter, and only a frequent child pushed to the frontier gets
     # its encodings, built from the path its key was spliced from: one
     # splice per key.
-    assert (counts["extend"], counts["extended_key"]) == (12, 114)
+    assert (counts["extend"], counts["extended_key"]) == (12, 29)
     hits = result.stats.level_statistics["canonical_incremental_hits"]
     assert counts["extended_key"] == counts["_splice"] == hits
 
@@ -362,9 +364,10 @@ def test_cyclic_candidates_are_keyed_through_the_module_attribute(monkeypatch):
     "make_data, drops, joins",
     [
         # 4,121 pendant joins before the budget cut, 2,545 of them such
-        # children; 1,576 after it, and 555 once a pending child that no
-        # row can repair is dropped.
-        (blowup_graph, (202, 0), (555, 2)),
+        # children; 1,576 after it, 555 once a pending child that no row
+        # can repair is dropped, and 273 once a child with fewer rows than
+        # σ is dropped first (which also drops the 2 closing joins).
+        (blowup_graph, (135, 0), (273, 0)),
         (lambda: erdos_renyi_graph(20, 3.0, 2, seed=1), (133, 166), (98, 23)),
     ],
     ids=["blowup", "er-closing"],
@@ -372,7 +375,7 @@ def test_cyclic_candidates_are_keyed_through_the_module_attribute(monkeypatch):
 def test_no_join_builds_an_unreportable_child_at_the_budget(
     monkeypatch, make_data, drops, joins
 ):
-    k, max_edges = 2, 5
+    k, max_edges, sigma = 2, 5, 2
     scanned = {}
     offered = {"pendant": 0, "closing": 0}
     joined = {"pendant": [], "closing": []}
@@ -399,7 +402,13 @@ def test_no_join_builds_an_unreportable_child_at_the_budget(
         graph = shape_of(table, pairs)
         for op in scan(context, table, sprouts, pairs, edge_labels=edge_labels):
             scanned["op"] = (graph, op)
-            if graph.num_edges() == max_edges - 1 and diameter(child_of(graph, op)) > k:
+            # The row count comes first: a join with fewer rows than σ is
+            # a support drop, whatever the budget says.
+            if (
+                len(op[4]) >= sigma
+                and graph.num_edges() == max_edges - 1
+                and diameter(child_of(graph, op)) > k
+            ):
                 offered["pendant" if op[1] is None else "closing"] += 1
             yield op
 
@@ -414,7 +423,7 @@ def test_no_join_builds_an_unreportable_child_at_the_budget(
     monkeypatch.setattr(levelgrow, "scan_extensions", recording_scan)
     monkeypatch.setattr(EmbeddingTable, "extended", recording_extended)
     monkeypatch.setattr(EmbeddingTable, "subset", recording_subset)
-    diam_query = Query("diam-le", {"k": k, "max_edges": max_edges}, min_support=2)
+    diam_query = Query("diam-le", {"k": k, "max_edges": max_edges}, min_support=sigma)
     result = MiningEngine(make_data()).run(diam_query)
     assert [
         child
@@ -424,7 +433,8 @@ def test_no_join_builds_an_unreportable_child_at_the_budget(
     # Pendants reach the budget on both inputs, closing edges on the ER
     # graph only (one edge below the budget a pending state offers closing
     # edges only, and on the blow-up graph none that is kept offers one),
-    # and every such child is a budget drop, taken before the key.
+    # and every such child with σ rows or more is a budget drop, taken
+    # before the key.
     assert (offered["pendant"], offered["closing"]) == drops
     assert result.stats.level_statistics["rejected_budget"] == sum(drops)
     assert (len(joined["pendant"]), len(joined["closing"])) == joins
@@ -433,7 +443,8 @@ def test_no_join_builds_an_unreportable_child_at_the_budget(
 def assert_counts_add_up(stats):
     """The driver's split of its candidates, and LevelGrow's two identities."""
     assert stats["candidates_generated"] == (
-        stats["rejected_budget"]
+        stats["rejected_rows"]
+        + stats["rejected_budget"]
         + stats["rejected_margin"]
         + stats["rejected_unrepairable"]
         + stats["candidates_keyed"]
@@ -441,7 +452,7 @@ def assert_counts_add_up(stats):
     assert stats["candidates_keyed"] == (
         stats["candidates_rejected_duplicate"] + stats["candidates_joined"]
     )
-    assert stats["candidates_joined"] == (
+    assert stats["candidates_joined"] + stats["rejected_rows"] == (
         stats["candidates_rejected_support"]
         + stats["candidates_pending"]
         + stats["patterns_emitted"]
@@ -593,11 +604,11 @@ def test_blowup_query_at_eight_edges_grows_few_pending_states(monkeypatch):
     diam_query = query(2, 8, 2)
     result = MiningEngine(data).run(diam_query)
     stats = result.stats.level_statistics
-    assert (stats["candidates_joined"], stats["candidates_pending"]) == (593, 4)
+    assert (stats["candidates_joined"], stats["candidates_pending"]) == (309, 4)
     monkeypatch.setattr(framework, "_ball", lambda *args: None)
     unpruned = MiningEngine(data).run(diam_query)
     unpruned_stats = unpruned.stats.level_statistics
     assert unpruned_stats["rejected_unrepairable"] == 0
-    assert unpruned_stats["candidates_joined"] == 15542
+    assert unpruned_stats["candidates_joined"] == 11254
     assert unpruned_stats["candidates_pending"] == 7524
     assert serialised(result.patterns) == serialised(unpruned.patterns)

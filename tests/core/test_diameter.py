@@ -14,8 +14,58 @@ from repro.core.diameter import (
     skinniness,
     vertex_levels,
 )
+from repro.core.orders import canonical_orientation, path_sort_key
 from repro.graph.generators import random_labeled_path, random_skinny_pattern
 from repro.graph.labeled_graph import LabeledGraph, build_graph
+from repro.graph.paths import all_diameter_paths
+
+
+def reference_canonical_diameter(graph: LabeledGraph):
+    """Definition 4 read literally: the smallest of every listed diameter path.
+
+    Each path of ``all_diameter_paths`` is read in its smaller direction and
+    the smallest reading under the total path order wins.
+    """
+    if graph.num_vertices() == 0:
+        raise ValueError("the canonical diameter of an empty graph is undefined")
+    if not graph.is_connected():
+        raise ValueError("the canonical diameter of a disconnected graph is undefined")
+    oriented = [canonical_orientation(graph, path) for path in all_diameter_paths(graph)]
+    return min(oriented, key=lambda path: path_sort_key(graph, path))
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=9):
+    """A connected labelled graph of 1 to ``max_vertices`` vertices.
+
+    Vertex ids are drawn apart and out of step with the shape, and two or
+    three labels are few enough that equal label sequences leave the choice
+    to the ids.  The shape is a random tree or a Hamiltonian cycle, plus
+    random chords, so several shortest paths often tie; the labels may read
+    the same from both ends of the build order.  Labels 9 and 10 order as
+    strings, "10" before "9".
+    """
+    count = draw(st.integers(min_value=1, max_value=max_vertices))
+    ids = draw(st.lists(st.integers(0, 99), min_size=count, max_size=count, unique=True))
+    alphabet = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c"), (9, 10)]))
+    labels = draw(st.lists(st.sampled_from(alphabet), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        labels = labels[: (count + 1) // 2] + labels[: count // 2][::-1]
+    if count >= 3 and draw(st.booleans()):
+        edges = {(index, (index + 1) % count) for index in range(count)}
+    else:
+        edges = {
+            (draw(st.integers(0, index - 1)), index) for index in range(1, count)
+        }
+    if count >= 2:
+        index = st.integers(0, count - 1)
+        for u, v in draw(st.lists(st.tuples(index, index), max_size=count)):
+            if u != v and (v, u) not in edges:
+                edges.add((u, v))
+    return build_graph(
+        {ids[index]: labels[index] for index in range(count)},
+        [(ids[u], ids[v]) for u, v in edges],
+    )
 
 
 class TestCanonicalDiameter:
@@ -64,6 +114,41 @@ class TestCanonicalDiameter:
         graph = build_graph({0: "a"}, [])
         assert canonical_diameter(graph) == [0]
         assert diameter_length(graph) == 0
+
+    @given(connected_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_smallest_listed_diameter_path(self, graph):
+        assert canonical_diameter(graph) == reference_canonical_diameter(graph)
+
+    @given(connected_graphs(max_vertices=5), connected_graphs(max_vertices=5))
+    @settings(max_examples=30, deadline=None)
+    def test_disconnected_raises_as_the_reference(self, first, second):
+        graph = first.copy()
+        offset = 100
+        for vertex in second.vertices():
+            graph.add_vertex(vertex + offset, second.label_of(vertex))
+        for edge in second.edges():
+            graph.add_edge(edge.u + offset, edge.v + offset)
+        for diameter in (canonical_diameter, reference_canonical_diameter):
+            with pytest.raises(ValueError, match="disconnected graph is undefined"):
+                diameter(graph)
+
+    def test_empty_raises_as_the_reference(self):
+        for diameter in (canonical_diameter, reference_canonical_diameter):
+            with pytest.raises(ValueError, match="empty graph is undefined"):
+                diameter(LabeledGraph())
+
+    def test_label_order_before_ids_on_a_cycle(self):
+        # A 6-cycle: every vertex has one opposite vertex, reached by two
+        # shortest paths.  Label a only at 2 and 5 puts the four readings
+        # of the two paths between them first, all a-b-b-a; 2-1-0-5 has
+        # the smallest ids.
+        graph = build_graph(
+            {0: "b", 1: "b", 2: "a", 3: "b", 4: "b", 5: "a"},
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+        )
+        assert canonical_diameter(graph) == [2, 1, 0, 5]
+        assert canonical_diameter(graph) == reference_canonical_diameter(graph)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=1_000))
     @settings(max_examples=30, deadline=None)

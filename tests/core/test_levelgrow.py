@@ -11,6 +11,7 @@ from repro.core.diammine import DiamMine
 from repro.core.levelgrow import LevelGrower, LevelGrowStatistics
 from repro.core.patterns import initial_state_from_path
 from repro.core.skinnymine import SkinnyMine
+from repro.graph.embeddings import EmbeddingTable
 from repro.graph.generators import erdos_renyi_graph, random_transaction_database
 from repro.graph.labeled_graph import graph_from_paths
 
@@ -302,6 +303,25 @@ class TestRejectionReasons:
         assert len(held) == 178
         assert stats.candidates_pending == 178
         assert_reasons_add_up(stats)
+
+    def test_a_join_with_fewer_rows_than_sigma_builds_no_table(self, monkeypatch):
+        # Support is at most the row count under every measure, so such a
+        # candidate is a support rejection settled before its table: 183 of
+        # the 606 here, which once built a table each.
+        sizes = []
+        for name in ("extended", "subset"):
+
+            def recording(table, *args, method=getattr(EmbeddingTable, name)):
+                child = method(table, *args)
+                sizes.append(len(child.graph_ids))
+                return child
+
+            monkeypatch.setattr(EmbeddingTable, name, recording)
+        graph = erdos_renyi_graph(20, 2.0, 2, seed=1)
+        stats = skinny_statistics(graph, 3, 1, SupportMeasure.MNI)
+        assert_reasons_add_up(stats)
+        assert (stats.rejected_rows, stats.candidates_rejected_support) == (183, 606)
+        assert min(sizes) >= 2
 
     def test_merge_and_wire_form_carry_the_reasons(self):
         one = LevelGrowStatistics(**{reason: 1 for reason in REASONS})

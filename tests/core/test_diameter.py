@@ -57,11 +57,10 @@ def connected_graphs(draw, max_vertices=9):
         edges = {
             (draw(st.integers(0, index - 1)), index) for index in range(1, count)
         }
-    if count >= 2:
-        index = st.integers(0, count - 1)
-        for u, v in draw(st.lists(st.tuples(index, index), max_size=count)):
-            if u != v and (v, u) not in edges:
-                edges.add((u, v))
+    index = st.integers(0, count - 1)
+    for u, v in draw(st.lists(st.tuples(index, index), max_size=count)):
+        if u != v and (v, u) not in edges:
+            edges.add((u, v))
     return build_graph(
         {ids[index]: labels[index] for index in range(count)},
         [(ids[u], ids[v]) for u, v in edges],
